@@ -8,7 +8,6 @@ from typing import Sequence
 import numpy as np
 
 from .gradcore import Tensor, fn
-from .gradcore.functional import concat_cols
 from .gradcore.tensor import ShapeMismatchError
 from .sortops import PermutationMatrix, argsort_desc, perm_matrix
 
@@ -105,10 +104,10 @@ def aggregate_columns(
             out = fn.add(out, c)
         return out
     if spec.kind == "max":
-        return fn.max_rows(concat_cols(list(cols)))
+        return fn.max_rows(fn.concat_cols(cols))
     if weight is None:
         weight = g.constant(np.asarray(spec.weights).reshape(-1, 1))
-    return fn.matmul(concat_cols(list(cols)), weight)
+    return fn.matmul(fn.concat_cols(cols), weight)
 
 
 def aggregate_predictions(

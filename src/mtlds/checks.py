@@ -16,7 +16,7 @@ import numpy as np
 from .aggregate import AggregatorSpec, LabelSequence, aggregate_predictions, label_permutation
 from .data import FieldSpec, Impression, Sample, Schema
 from .gradcore import Graph, Tensor, fn, grad_check
-from .model import ModelConfig, SharedBottomModel
+from .model import MODEL_KINDS, ModelConfig, SharedBottomModel
 from .sortops import (
     argsort_desc,
     bce_loss,
@@ -90,6 +90,8 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
         "broadcast_row": (lambda x: fn.broadcast_row(x, 4), rng.standard_normal((3, 1))),
         "broadcast_col": (lambda x: fn.broadcast_col(x, 4), rng.standard_normal((3, 1))),
         "clip": (lambda x: fn.clip(x, -0.5, 0.5), _away_from(rng, (3, 4), [-0.5, 0.5])),
+        "concat_cols": (lambda x: fn.concat_cols([x, x.graph.constant(k34), x]),
+                        rng.standard_normal((3, 2))),
     }
 
 
@@ -131,14 +133,16 @@ def check_losses(trials: int = 20, seed: int = 1) -> list[CheckResult]:
         worst_sort = max(worst_sort, grad_check(_sort_loss_fn(n, 1.0, labels), s))
         y = rng.standard_normal(n)
         worst_listnet = max(worst_listnet, grad_check(lambda t: listnet_loss(t, y), s))
+        cut = int(rng.integers(2, n))
+        spans = [(0, cut), (cut, n)]  # two impressions, as in a training batch
         graded = rng.integers(0, 3, size=n)
-        if np.all(graded == graded[0]):
+        if np.all(graded[:cut] == graded[0]):
             graded[0] += 1
         worst_ranknet = max(worst_ranknet,
-                            grad_check(lambda t: ranknet_loss(t, graded), s))
+                            grad_check(lambda t: ranknet_loss(t, graded, spans), s))
         p = rng.uniform(0.05, 0.95, (n, 1))
         yb = rng.integers(0, 2, size=n)
-        worst_bce = max(worst_bce, grad_check(lambda t: bce_loss(t, yb), p))
+        worst_bce = max(worst_bce, grad_check(lambda t: bce_loss(t, yb, spans), p))
     return [
         CheckResult("loss:soft_sort+sort_loss", worst_sort, 1e-4),
         CheckResult("loss:listnet", worst_listnet, 1e-4),
@@ -173,18 +177,20 @@ def check_aggregators(trials: int = 20, seed: int = 2, tol: float = 1e-5) -> lis
     return results
 
 
-def _toy_impression(seed: int, n: int = 5, tasks: int = 2) -> tuple[Schema, Impression]:
-    rng = np.random.default_rng(seed)
-    schema = Schema(
-        user_fields=(FieldSpec("user_id", 8),),
-        item_fields=(FieldSpec("item_id", 8),),
-        dense_count=1,
-        tasks=tuple(f"t{t}" for t in range(tasks)),
-    )
+TOY_SCHEMA = Schema(
+    user_fields=(FieldSpec("user_id", 8),),
+    item_fields=(FieldSpec("item_id", 8),),
+    dense_count=1,
+    tasks=("t0", "t1"),
+)
+
+
+def _toy_impression(rng: np.random.Generator, n: int = 5) -> Impression:
+    tasks = TOY_SCHEMA.task_count
     user = int(rng.integers(8))
     samples = []
-    for _ in range(n):
-        depth = int(rng.integers(0, tasks + 1))
+    # every behaviour depth occurs, so every tower of every kind gets a gradient
+    for depth in rng.permutation(np.arange(n) % (tasks + 1)):
         labels = LabelSequence(tuple(1 if t < depth else 0 for t in range(tasks)))
         samples.append(Sample(
             impression_id="imp0",
@@ -193,25 +199,43 @@ def _toy_impression(seed: int, n: int = 5, tasks: int = 2) -> tuple[Schema, Impr
             dense=(float(rng.standard_normal()),),
             labels=labels,
         ))
-    return schema, Impression("imp0", tuple(samples))
+    return Impression("imp0", tuple(samples))
 
 
-def check_total_loss(seed: int = 3, tol: float = 1e-3) -> CheckResult:
-    """Full-model gradient check: every parameter grid of a small MTLDS-Linear
-    model against central differences on one random impression."""
-    schema, imp = _toy_impression(seed)
-    config = ModelConfig(kind="mtlds", aggregator="linear", embedding_dim=4,
-                         shared_layers=(6,), tower_layers=(4,), seed=seed)
-    model = SharedBottomModel(schema, config)
-    worst = 0.0
-    for name in model.params:
-        def f(x: Tensor, _name=name) -> Tensor:
-            pt = model.bind(x.graph)
-            pt[_name] = x
-            return model.total_loss(x.graph, [imp], pt)
+def _kink_distance(model: SharedBottomModel, imp: Impression) -> float:
+    """How far ``batch_loss`` at ``imp`` is from a kink: the smallest |ReLU
+    input|, and the smallest gap between two ranking scores (the hard sort
+    inside SoftSort switches where two scores cross)."""
+    g = Graph()
+    model.batch_loss(g, [imp])
+    relu = min((np.abs(x).min() for x in g.inputs_of("relu")), default=np.inf)
+    return min(relu, np.diff(np.sort(model.ranking_scores([imp])[0])).min())
 
-        worst = max(worst, grad_check(f, model.params[name]))
-    return CheckResult("model:total_loss", worst, tol)
+
+def check_batch_loss(seed: int = 3, tol: float = 1e-3) -> list[CheckResult]:
+    """Full-model gradient check of ``batch_loss``, the loss ``fit`` trains:
+    for every model kind, every parameter grid of a small model against
+    central differences on one random impression, redrawn until the loss is
+    at least the kink margin away from every kink."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for kind in MODEL_KINDS:
+        config = ModelConfig(kind=kind, aggregator="linear", embedding_dim=4,
+                             shared_layers=(6,), tower_layers=(4,), seed=seed)
+        model = SharedBottomModel(TOY_SCHEMA, config)
+        imp = _toy_impression(rng)
+        while _kink_distance(model, imp) <= KINK_MARGIN:
+            imp = _toy_impression(rng)
+        worst = 0.0
+        for name in model.params:
+            def f(x: Tensor, _name=name) -> Tensor:
+                pt = model.bind(x.graph)
+                pt[_name] = x
+                return model.batch_loss(x.graph, [imp], pt)
+
+            worst = max(worst, grad_check(f, model.params[name]))
+        results.append(CheckResult(f"model:batch_loss:{kind}", worst, tol))
+    return results
 
 
 def urs_sweep(count: int = 1000, seed: int = 4, tol: float = 1e-6) -> CheckResult:
@@ -239,6 +263,6 @@ def run_all_checks(trials: int = 20, seed: int = 0) -> list[CheckResult]:
     results = check_registry_ops(trials=trials, seed=seed)
     results += check_losses(trials=trials, seed=seed + 1)
     results += check_aggregators(trials=trials, seed=seed + 2)
-    results.append(check_total_loss(seed=seed + 3))
+    results += check_batch_loss(seed=seed + 3)
     results.append(urs_sweep(seed=seed + 4))
     return results

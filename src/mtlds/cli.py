@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import click
@@ -30,7 +30,7 @@ from .data import (
     synthesize,
     write_dataset,
 )
-from .evaluation import MetricReport, UndefinedMetricError, aggregate_reports
+from .evaluation import MetricReport, UndefinedMetricError
 from .gradcore import Graph, corrupted_vjp
 from .model import (
     DivergenceError,
@@ -224,9 +224,9 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
     try:
         cfg = load_experiment_config(config_path)
         if seed_flag is not None:
-            cfg = ExperimentConfig(**{**asdict_shallow(cfg), "seeds": (seed_flag,)})
+            cfg = replace(cfg, seeds=(seed_flag,))
         if rank_by_flag is not None:
-            cfg = ExperimentConfig(**{**asdict_shallow(cfg), "rank_by": rank_by_flag})
+            cfg = replace(cfg, rank_by=rank_by_flag)
         source = _load_source(cfg)
     except (ConfigError, DatasetFormatError, ValueError) as exc:
         _fail(str(exc), 2)
@@ -241,10 +241,9 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
     except UndefinedMetricError as exc:
         _fail(f"metric undefined on this split: {exc}", 1)
 
-    combined = aggregate_reports(reports)
     metric_keys = ["auc"] + [f"ndcg@{k}" for k in cfg.cutoffs]
 
-    def metric_value(report, key: str) -> float:
+    def metric_value(report: MetricReport, key: str) -> float:
         return report.auc if key == "auc" else report.ndcg_at[int(key.split("@")[1])]
 
     aggregate = {
@@ -252,11 +251,12 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
         "model_kind": cfg.model.kind,
         "seeds": list(cfg.seeds),
         "per_seed": {str(s): payloads[s]["test"] for s in cfg.seeds},
-        "mean": {key: metric_value(combined, key) for key in metric_keys},
+        "mean": {},
         "std": {},
     }
     for key in metric_keys:
-        values = [metric_value(reports[s], key) for s in cfg.seeds]
+        values = [metric_value(r, key) for r in reports.values()]  # each distinct seed once
+        aggregate["mean"][key] = float(np.mean(values))
         aggregate["std"][key] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     _write_json(out_dir / "aggregate.json", aggregate)
 
@@ -271,20 +271,6 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
     for line in summary:
         click.echo(line)
     click.echo(f"reports under {out_dir}")
-
-
-def asdict_shallow(cfg: ExperimentConfig) -> dict:
-    return {
-        "model": cfg.model,
-        "synth": cfg.synth,
-        "dataset_path": cfg.dataset_path,
-        "split": cfg.split,
-        "cutoffs": cfg.cutoffs,
-        "seeds": cfg.seeds,
-        "out_dir": cfg.out_dir,
-        "rank_by": cfg.rank_by,
-        "gain": cfg.gain,
-    }
 
 
 def _schema_mismatches(a, b) -> list[str]:

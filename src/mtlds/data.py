@@ -31,12 +31,6 @@ class DatasetFormatError(ValueError):
     """A dataset file does not conform to the documented format."""
 
 
-def validate_labels(labels: Sequence[int]) -> int | None:
-    """None when monotone non-increasing, else the first index t with
-    labels[t+1] > labels[t]."""
-    return first_label_violation(labels)
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     name: str
@@ -49,6 +43,16 @@ class Schema:
     item_fields: tuple[FieldSpec, ...]
     dense_count: int
     tasks: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        # embeddings and id columns are keyed by field name
+        names = [f.name for f in self.cat_fields]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"field names must be unique across user and item fields: {repeated}")
+        for f in self.cat_fields:
+            if f.cardinality < 1:
+                raise ValueError(f"field {f.name!r}: cardinality must be >= 1, got {f.cardinality}")
 
     @property
     def task_count(self) -> int:
@@ -135,12 +139,12 @@ def _parse_header(line: str, line_no: int) -> Schema:
         dense_count = int(kv["dense"])
     except ValueError:
         raise DatasetFormatError(f"line {line_no}: bad dense count {kv['dense']!r}") from None
-    return Schema(
-        user_fields=_parse_fields(kv["user"], "user", line_no),
-        item_fields=_parse_fields(kv["item"], "item", line_no),
-        dense_count=dense_count,
-        tasks=tasks,
-    )
+    user_fields = _parse_fields(kv["user"], "user", line_no)
+    item_fields = _parse_fields(kv["item"], "item", line_no)
+    try:
+        return Schema(user_fields, item_fields, dense_count, tasks)
+    except ValueError as exc:
+        raise DatasetFormatError(f"line {line_no}: {exc}") from None
 
 
 def _parse_ids(text: str, count: int, what: str, line_no: int) -> tuple[int, ...]:
@@ -173,7 +177,7 @@ def _parse_line(line: str, schema: Schema, line_no: int) -> Sample:
     if len(raw_labels) != schema.task_count:
         raise DatasetFormatError(
             f"line {line_no}: expected {schema.task_count} labels, got {len(raw_labels)}")
-    t = validate_labels(raw_labels)
+    t = first_label_violation(raw_labels)
     if t is not None:
         raise LabelOrderError(
             f"line {line_no}: impression {imp_id!r} has label {t + 1} set "
@@ -229,7 +233,7 @@ def write_dataset(ds: Dataset, path) -> None:
                 sample.impression_id,
                 "|".join(str(i) for i in sample.user_ids),
                 "|".join(str(i) for i in sample.item_ids),
-                ",".join(repr(x) for x in sample.dense),
+                ",".join(repr(float(x)) for x in sample.dense),
                 ",".join(str(l) for l in sample.labels),
             ]) + "\n")
 

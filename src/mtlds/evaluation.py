@@ -17,33 +17,13 @@ class MetricReport:
     auc: float
     ndcg_at: dict[int, float]
     impressions: int
-    per_seed: dict[int, "MetricReport"] | None = None
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "auc": self.auc,
             "ndcg": {str(k): v for k, v in sorted(self.ndcg_at.items())},
             "impressions": self.impressions,
         }
-        if self.per_seed is not None:
-            d["per_seed"] = {str(s): r.as_dict() for s, r in sorted(self.per_seed.items())}
-        return d
-
-
-def aggregate_reports(per_seed: dict[int, MetricReport]) -> MetricReport:
-    """Seed-sweep aggregation: mean metrics with the per-seed reports attached."""
-    if not per_seed:
-        raise ValueError("no reports to aggregate")
-    reports = list(per_seed.values())
-    cutoffs = set(reports[0].ndcg_at)
-    if any(set(r.ndcg_at) != cutoffs for r in reports):
-        raise ValueError("reports have differing NDCG cutoffs")
-    return MetricReport(
-        auc=float(np.mean([r.auc for r in reports])),
-        ndcg_at={k: float(np.mean([r.ndcg_at[k] for r in reports])) for k in cutoffs},
-        impressions=sum(r.impressions for r in reports),
-        per_seed=dict(per_seed),
-    )
 
 
 def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray) -> float:

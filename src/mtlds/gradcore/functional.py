@@ -62,7 +62,7 @@ def max_rows(x: Tensor) -> Tensor:
 
 
 def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
-    return x.graph.apply("gather_rows", [x], indices=tuple(int(i) for i in indices))
+    return x.graph.apply("gather_rows", [x], indices=np.array(indices, dtype=np.intp))
 
 
 def broadcast_row(v: Tensor, rows: int) -> Tensor:
@@ -77,29 +77,10 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return x.graph.apply("clip", [x], lo=float(lo), hi=float(hi))
 
 
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / (x.rows * x.cols))
-
-
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    """Horizontal concatenation via constant selector matrices.
-
-    ``concat(A, B) @ W == A @ W_top + B @ W_bottom``, so stacking columns is
-    expressible as a sum of matmuls with 0/1 placement matrices.  Gradients
-    flow through the matmuls as usual.
-    """
+    """Horizontal concatenation of tensors with equal row counts."""
     if not tensors:
         raise ValueError("concat_cols needs at least one tensor")
     if len(tensors) == 1:
         return tensors[0]
-    g = tensors[0].graph
-    total = sum(t.cols for t in tensors)
-    out = None
-    offset = 0
-    for t in tensors:
-        sel = np.zeros((t.cols, total))
-        sel[:, offset:offset + t.cols] = np.eye(t.cols)
-        term = matmul(t, g.constant(sel))
-        out = term if out is None else add(out, term)
-        offset += t.cols
-    return out
+    return tensors[0].graph.apply("concat_cols", tensors)

@@ -99,11 +99,13 @@ class _Node:
 
 
 class _OpDef:
+    """One registry op; ``arity`` None takes one or more inputs."""
+
     __slots__ = ("arity", "forward", "vjp")
 
     def __init__(
         self,
-        arity: int,
+        arity: int | None,
         forward: Callable[[list[np.ndarray], dict], np.ndarray],
         vjp: Callable[[np.ndarray, list[np.ndarray], np.ndarray, dict], list[np.ndarray | None]],
     ):
@@ -190,10 +192,10 @@ def _fwd_max_rows(xs, attrs):
 def _fwd_gather_rows(xs, attrs):
     x = xs[0]
     idx = attrs["indices"]
-    for i in idx:
-        if not 0 <= i < x.shape[0]:
-            raise ShapeMismatchError(f"gather_rows: index {i} out of range for {x.shape[0]} rows")
-    return x[list(idx), :]
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        bad = idx[(idx < 0) | (idx >= x.shape[0])][0]
+        raise ShapeMismatchError(f"gather_rows: index {bad} out of range for {x.shape[0]} rows")
+    return x[idx, :]
 
 
 def _fwd_broadcast_row(xs, attrs):
@@ -212,6 +214,13 @@ def _fwd_broadcast_col(xs, attrs):
 
 def _fwd_clip(xs, attrs):
     return np.clip(xs[0], attrs["lo"], attrs["hi"])
+
+
+def _fwd_concat_cols(xs, attrs):
+    if len({x.shape[0] for x in xs}) != 1:
+        raise ShapeMismatchError(
+            f"concat_cols: row counts differ {[x.shape[0] for x in xs]}")
+    return np.hstack(xs)
 
 
 def _vjp_add(g, xs, out, attrs):
@@ -276,7 +285,7 @@ def _vjp_max_rows(g, xs, out, attrs):
 
 def _vjp_gather_rows(g, xs, out, attrs):
     dx = np.zeros_like(xs[0])
-    np.add.at(dx, list(attrs["indices"]), g)
+    np.add.at(dx, attrs["indices"], g)
     return [dx]
 
 
@@ -291,6 +300,11 @@ def _vjp_broadcast_col(g, xs, out, attrs):
 def _vjp_clip(g, xs, out, attrs):
     x = xs[0]
     return [g * ((x >= attrs["lo"]) & (x <= attrs["hi"]))]
+
+
+def _vjp_concat_cols(g, xs, out, attrs):
+    offsets = np.cumsum([x.shape[1] for x in xs[:-1]])
+    return [np.ascontiguousarray(part) for part in np.hsplit(g, offsets)]
 
 
 OPS: dict[str, _OpDef] = {
@@ -311,6 +325,7 @@ OPS: dict[str, _OpDef] = {
     "broadcast_row": _OpDef(1, _fwd_broadcast_row, _vjp_broadcast_row),
     "broadcast_col": _OpDef(1, _fwd_broadcast_col, _vjp_broadcast_col),
     "clip": _OpDef(1, _fwd_clip, _vjp_clip),
+    "concat_cols": _OpDef(None, _fwd_concat_cols, _vjp_concat_cols),
 }
 
 
@@ -331,6 +346,10 @@ class Graph:
 
     def node_op(self, node_id: int) -> str:
         return self._nodes[node_id].op
+
+    def inputs_of(self, op_tag: str) -> list[np.ndarray]:
+        """First-input values of every recorded ``op_tag`` node, in tape order."""
+        return [self._nodes[n.parents[0]].value for n in self._nodes if n.op == op_tag]
 
     def _register(self, op: str, parents: tuple[int, ...], value: np.ndarray,
                   attrs: dict, requires_grad: bool) -> Tensor:
@@ -353,9 +372,9 @@ class Graph:
         opdef = OPS.get(op_tag)
         if opdef is None:
             raise ValueError(f"unknown op tag {op_tag!r}")
-        if len(inputs) != opdef.arity:
+        if len(inputs) != opdef.arity and (opdef.arity is not None or not inputs):
             raise ShapeMismatchError(
-                f"{op_tag}: expected {opdef.arity} inputs, got {len(inputs)}")
+                f"{op_tag}: expected {opdef.arity or 'at least 1'} inputs, got {len(inputs)}")
         for t in inputs:
             if t.graph is not self:
                 raise GraphStateError(f"{op_tag}: input tensor belongs to a different graph")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +26,14 @@ from .aggregate import AggregatorSpec, aggregate_columns, aggregate_labels, labe
 from .data import Dataset, FieldSpec, Impression, Sample, Schema, batch_impressions
 from .evaluation import MetricReport, evaluate_ranking
 from .gradcore import AdamState, Graph, Tensor, adam_step, fn
-from .gradcore.functional import concat_cols
-from .sortops import PROB_EPS, listnet_loss, ndcg_position_weights, soft_sort, sort_loss
+from .sortops import (
+    bce_loss,
+    listnet_loss,
+    ndcg_position_weights,
+    ranknet_loss,
+    soft_sort,
+    sort_loss,
+)
 
 MODEL_KINDS = (
     "mtlds",
@@ -37,7 +44,7 @@ MODEL_KINDS = (
     "dnn_pairwise",
     "dnn_diffsort",
 )
-TASK_LOSS_KINDS = ("bce", "ranknet")
+TASK_LOSSES = {"bce": bce_loss, "ranknet": ranknet_loss}
 VALIDATION_CUTOFF = 6
 
 CHECKPOINT_MAGIC = b"MTLDS1\n"
@@ -68,8 +75,8 @@ class ModelConfig:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
         losses = self.task_loss if isinstance(self.task_loss, tuple) else (self.task_loss,)
         for l in losses:
-            if l not in TASK_LOSS_KINDS:
-                raise ValueError(f"unknown task loss {l!r}; choose from {TASK_LOSS_KINDS}")
+            if l not in TASK_LOSSES:
+                raise ValueError(f"unknown task loss {l!r}; choose from {tuple(TASK_LOSSES)}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.epochs < 0 or self.batch_size < 1:
@@ -206,7 +213,7 @@ class SharedBottomModel:
                  for spec in self.schema.cat_fields]
         if self.schema.dense_count:
             parts.append(graph.constant(batch.dense))
-        x = concat_cols(parts)
+        x = fn.concat_cols(parts)
         for i in range(len(self.config.shared_layers)):
             pre = fn.add(fn.matmul(x, pt[f"shared/{i}/W"]),
                          fn.broadcast_row(pt[f"shared/{i}/b"], n))
@@ -232,7 +239,7 @@ class SharedBottomModel:
     ) -> Tensor:
         """(n, towers) matrix of per-task probabilities for a list of samples."""
         batch = encode_samples(self.schema, samples)
-        return concat_cols(self.task_columns(graph, batch, params_t))
+        return fn.concat_cols(self.task_columns(graph, batch, params_t))
 
     # ------------------------------------------------------------------ losses
 
@@ -246,57 +253,20 @@ class SharedBottomModel:
             samples.extend(imp.samples)
         return samples, spans
 
-    @staticmethod
-    def _weighted_bce(col: Tensor, y: np.ndarray, weights: np.ndarray) -> Tensor:
-        """Weighted binary cross-entropy over one probability column."""
-        g = col.graph
-        n = col.rows
-        y_c = g.constant(y.reshape(-1, 1))
-        pos = fn.mul_elem(y_c, fn.log(fn.clip(col, PROB_EPS, 1.0)))
-        comp = fn.clip(fn.sub(g.constant(np.ones((n, 1))), col), PROB_EPS, 1.0)
-        neg = fn.mul_elem(g.constant(1.0 - y.reshape(-1, 1)), fn.log(comp))
-        return fn.neg(fn.sum_all(fn.mul_elem(g.constant(weights.reshape(-1, 1)),
-                                             fn.add(pos, neg))))
-
-    @staticmethod
-    def _impression_ranknet(col: Tensor, labels: np.ndarray,
-                            spans: Sequence[tuple[int, int]]) -> Tensor:
-        """Mean-per-impression pairwise logistic loss, averaged over impressions.
-
-        Pairs are gathered globally with one weight per pair, so the whole
-        term costs a fixed number of graph nodes regardless of list sizes.
-        """
-        g = col.graph
-        hi_idx: list[int] = []
-        lo_idx: list[int] = []
-        weights: list[float] = []
-        n_lists = len(spans)
-        for a, b in spans:
-            pairs = [(i, j)
-                     for i in range(a, b) for j in range(a, b)
-                     if labels[i] > labels[j]]
-            if not pairs:
-                continue
-            w = 1.0 / (len(pairs) * n_lists)
-            for i, j in pairs:
-                hi_idx.append(i)
-                lo_idx.append(j)
-                weights.append(w)
-        if not hi_idx:
-            return g.constant(0.0)
-        p = fn.sigmoid(fn.sub(fn.gather_rows(col, hi_idx), fn.gather_rows(col, lo_idx)))
-        losses = fn.neg(fn.log(fn.clip(p, PROB_EPS, 1.0)))
-        return fn.sum_all(fn.mul_elem(losses.graph.constant(np.array(weights).reshape(-1, 1)),
-                                      losses))
-
-    def _task_loss(self, kind: str, col: Tensor, labels: np.ndarray,
-                   spans: Sequence[tuple[int, int]]) -> Tensor:
-        if kind == "bce":
-            weights = np.empty(col.rows)
-            for a, b in spans:
-                weights[a:b] = 1.0 / ((b - a) * len(spans))
-            return self._weighted_bce(col, labels, weights)
-        return self._impression_ranknet(col, labels, spans)
+    def _columns_and_labels(
+        self,
+        graph: Graph,
+        impressions: Sequence[Impression],
+        params_t: dict[str, Tensor] | None,
+    ) -> tuple[list[Tensor], np.ndarray, list[tuple[int, int]], dict[str, Tensor]]:
+        """Per-tower columns, the (n, T) label matrix, the impression spans and
+        the bound parameters of one batch."""
+        samples, spans = self._flatten(impressions)
+        batch = encode_samples(self.schema, samples)
+        pt = params_t if params_t is not None else self.bind(graph)
+        cols = self.task_columns(graph, batch, pt)
+        labels = np.array([s.labels.labels for s in samples], dtype=np.float64)
+        return cols, labels, spans, pt
 
     def _listwise_losses(
         self,
@@ -306,7 +276,6 @@ class SharedBottomModel:
         use_listnet: bool,
     ) -> Tensor:
         """Sum of the per-impression listwise losses over the batch."""
-        g = agg_col.graph
         total: Tensor | None = None
         for a, b in spans:
             s = fn.gather_rows(agg_col, range(a, b))
@@ -327,104 +296,23 @@ class SharedBottomModel:
         weight = params_t.get("agg/w") if self.aggregator.kind == "linear" else None
         return aggregate_columns(self.aggregator, cols, weight=weight)
 
-    def total_loss(
-        self,
-        graph: Graph,
-        impressions: Sequence[Impression],
-        params_t: dict[str, Tensor] | None = None,
-    ) -> Tensor:
-        """Sum of per-task losses plus the weighted listwise loss, averaged
-        over the impressions in the batch."""
-        if self.config.kind not in ("mtlds", "mtl_listnet"):
-            raise ValueError(f"total_loss applies to mtlds/mtl_listnet, not {self.config.kind}")
-        task_terms, listwise = self.loss_components(graph, impressions, params_t)
-        total = None
-        for term in task_terms:
-            total = term if total is None else fn.add(total, term)
-        return fn.add(total, fn.scale(listwise, self.config.sort_loss_weight))
-
     def loss_components(
         self,
         graph: Graph,
         impressions: Sequence[Impression],
         params_t: dict[str, Tensor] | None = None,
     ) -> tuple[list[Tensor], Tensor]:
-        """Per-task loss tensors and the batch-mean listwise loss, separately."""
-        samples, spans = self._flatten(impressions)
-        batch = encode_samples(self.schema, samples)
-        pt = params_t if params_t is not None else self.bind(graph)
-        cols = self.task_columns(graph, batch, pt)
-        task_terms = []
-        for t, kind in enumerate(self.task_losses):
-            y = np.array([s.labels.labels[t] for s in samples], dtype=np.float64)
-            task_terms.append(self._task_loss(kind, cols[t], y, spans))
-        agg_col = self._aggregate_column(cols, pt)
-        agg_labels = np.array([aggregate_labels(s.labels) for s in samples], dtype=np.float64)
+        """Per-task loss tensors and the batch-mean listwise loss of an
+        mtlds/mtl_listnet model, which ``batch_loss`` sums."""
+        if self.aggregator is None:
+            raise ValueError(f"loss_components applies to mtlds/mtl_listnet, not {self.config.kind}")
+        cols, labels, spans, pt = self._columns_and_labels(graph, impressions, params_t)
+        task_terms = [TASK_LOSSES[kind](cols[t], labels[:, t], spans)
+                      for t, kind in enumerate(self.task_losses)]
         listwise = self._listwise_losses(
-            agg_col, agg_labels, spans, use_listnet=self.config.kind == "mtl_listnet")
+            self._aggregate_column(cols, pt), labels.sum(axis=1), spans,
+            use_listnet=self.config.kind == "mtl_listnet")
         return task_terms, fn.scale(listwise, 1.0 / len(spans))
-
-    def esmm_loss(
-        self,
-        graph: Graph,
-        impressions: Sequence[Impression],
-        params_t: dict[str, Tensor] | None = None,
-    ) -> Tensor:
-        """Click BCE plus click*conversion BCE over the entire impression space.
-
-        The conversion tower is supervised only through the product; the
-        pairwise variant swaps both terms for the pairwise logistic loss on
-        the same targets.
-        """
-        if self.config.kind not in ("esmm", "esmm_pairwise"):
-            raise ValueError(f"esmm_loss applies to esmm kinds, not {self.config.kind}")
-        samples, spans = self._flatten(impressions)
-        batch = encode_samples(self.schema, samples)
-        pt = params_t if params_t is not None else self.bind(graph)
-        p_click, p_conv = self.task_columns(graph, batch, pt)
-        p_both = fn.mul_elem(p_click, p_conv)
-        y_click = np.array([s.labels.labels[0] for s in samples], dtype=np.float64)
-        y_both = np.array([s.labels.labels[0] * s.labels.labels[-1] for s in samples],
-                          dtype=np.float64)
-        if self.config.kind == "esmm_pairwise":
-            return fn.add(self._impression_ranknet(p_click, y_click, spans),
-                          self._impression_ranknet(p_both, y_both, spans))
-        weights = np.empty(len(samples))
-        for a, b in spans:
-            weights[a:b] = 1.0 / ((b - a) * len(spans))
-        return fn.add(self._weighted_bce(p_click, y_click, weights),
-                      self._weighted_bce(p_both, y_both, weights))
-
-    def single_task_loss(
-        self,
-        graph: Graph,
-        impressions: Sequence[Impression],
-        params_t: dict[str, Tensor] | None = None,
-    ) -> Tensor:
-        """Loss for the single-tower baselines.
-
-        pointwise: BCE against the final post-click label; pairwise: pairwise
-        logistic loss on the combined (summed) label; diffsort: the sorting
-        loss on the combined label's permutation.
-        """
-        samples, spans = self._flatten(impressions)
-        batch = encode_samples(self.schema, samples)
-        pt = params_t if params_t is not None else self.bind(graph)
-        col = self.task_columns(graph, batch, pt)[0]
-        if self.config.kind == "dnn_pointwise":
-            y = np.array([s.labels.labels[-1] for s in samples], dtype=np.float64)
-            weights = np.empty(len(samples))
-            for a, b in spans:
-                weights[a:b] = 1.0 / ((b - a) * len(spans))
-            return self._weighted_bce(col, y, weights)
-        combined = np.array([aggregate_labels(s.labels) for s in samples], dtype=np.float64)
-        if self.config.kind == "dnn_pairwise":
-            return self._impression_ranknet(col, combined, spans)
-        if self.config.kind == "dnn_diffsort":
-            return fn.scale(
-                self._listwise_losses(col, combined, spans, use_listnet=False),
-                1.0 / len(spans))
-        raise ValueError(f"single_task_loss applies to dnn kinds, not {self.config.kind}")
 
     def batch_loss(
         self,
@@ -432,13 +320,35 @@ class SharedBottomModel:
         impressions: Sequence[Impression],
         params_t: dict[str, Tensor] | None = None,
     ) -> Tensor:
-        """Dispatch to the loss for this model's kind."""
+        """Training loss of this model's kind, averaged over the impressions.
+
+        mtlds/mtl_listnet: the per-task losses plus ``sort_loss_weight`` times
+        the listwise loss on the aggregated score.  esmm: click BCE plus
+        click*conversion BCE over the entire impression space, so the
+        conversion tower is supervised only through the product;
+        esmm_pairwise swaps both terms for the pairwise logistic loss on the
+        same targets.  dnn_pointwise: BCE against the final post-click label;
+        dnn_pairwise: pairwise logistic loss on the combined (summed) label;
+        dnn_diffsort: the sorting loss on the combined label's permutation.
+        """
+        if self.aggregator is not None:
+            task_terms, listwise = self.loss_components(graph, impressions, params_t)
+            return fn.add(reduce(fn.add, task_terms),
+                          fn.scale(listwise, self.config.sort_loss_weight))
+        cols, labels, spans, _ = self._columns_and_labels(graph, impressions, params_t)
         kind = self.config.kind
-        if kind in ("mtlds", "mtl_listnet"):
-            return self.total_loss(graph, impressions, params_t)
         if kind in ("esmm", "esmm_pairwise"):
-            return self.esmm_loss(graph, impressions, params_t)
-        return self.single_task_loss(graph, impressions, params_t)
+            task_loss = bce_loss if kind == "esmm" else ranknet_loss
+            p_both = fn.mul_elem(cols[0], cols[1])
+            return fn.add(task_loss(cols[0], labels[:, 0], spans),
+                          task_loss(p_both, labels[:, 0] * labels[:, -1], spans))
+        if kind == "dnn_pointwise":
+            return bce_loss(cols[0], labels[:, -1], spans)
+        combined = labels.sum(axis=1)
+        if kind == "dnn_pairwise":
+            return ranknet_loss(cols[0], combined, spans)
+        return fn.scale(self._listwise_losses(cols[0], combined, spans, use_listnet=False),
+                        1.0 / len(spans))
 
     # ---------------------------------------------------------------- scoring
 

@@ -186,44 +186,55 @@ def sort_loss(
     return loss
 
 
-def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray) -> Tensor:
-    """Mean binary cross-entropy of probabilities ``p`` against binary labels."""
+def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
+             spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
+    """Binary cross-entropy of probabilities ``p`` against binary labels: the
+    mean within each impression span ``(start, stop)``, then the mean over
+    spans (the whole list is one span by default)."""
     yv = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if p.cols != 1 or p.rows != yv.shape[0]:
         raise ShapeMismatchError(f"bce_loss: probabilities {p.shape} vs {yv.shape[0]} labels")
+    spans = [(0, p.rows)] if spans is None else spans
+    weights = np.empty((p.rows, 1))
+    for a, b in spans:
+        weights[a:b] = 1.0 / ((b - a) * len(spans))
     g = p.graph
-    n = p.rows
     y_const = g.constant(yv)
-    y_comp = g.constant(1.0 - yv)
     pos = fn.mul_elem(y_const, fn.log(fn.clip(p, PROB_EPS, 1.0)))
-    neg_p = fn.clip(fn.sub(g.constant(np.ones((n, 1))), p), PROB_EPS, 1.0)
-    neg = fn.mul_elem(y_comp, fn.log(neg_p))
-    return fn.scale(fn.neg(fn.sum_all(fn.add(pos, neg))), 1.0 / n)
+    neg_p = fn.clip(fn.sub(g.constant(np.ones((p.rows, 1))), p), PROB_EPS, 1.0)
+    neg = fn.mul_elem(g.constant(1.0 - yv), fn.log(neg_p))
+    return fn.neg(fn.sum_all(fn.mul_elem(g.constant(weights), fn.add(pos, neg))))
 
 
-def ordered_pairs(y: Sequence[float] | np.ndarray) -> list[tuple[int, int]]:
-    """Index pairs (i, j) with y[i] > y[j], row-major order."""
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
-    return [(i, j) for i in range(yv.size) for j in range(yv.size) if yv[i] > yv[j]]
+def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
+                 spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
+    """Pairwise logistic loss log(1 + exp(-(s_i - s_j))) over the pairs
+    y_i > y_j inside each impression span: the mean within a span, then the
+    mean over spans (the whole list is one span by default).
 
-
-def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray) -> Tensor:
-    """Mean pairwise logistic loss log(1 + exp(-(s_i - s_j))) over pairs y_i > y_j.
-
-    Computed as -log(sigmoid(s_i - s_j)); returns a constant 0 when no
-    ordered pair exists.
+    Computed as -log(sigmoid(s_i - s_j)) with one weight per pair, so the term
+    costs a fixed number of graph nodes whatever the list sizes.  A span
+    without ordered pairs adds 0; a constant 0 is returned when no span has
+    one.
     """
-    if s.cols != 1:
-        raise ShapeMismatchError(f"ranknet_loss expects an (n, 1) score tensor, got {s.shape}")
-    pairs = ordered_pairs(y)
+    yv = np.asarray(y, dtype=np.float64).reshape(-1)
+    if s.cols != 1 or s.rows != yv.size:
+        raise ShapeMismatchError(f"ranknet_loss: scores {s.shape} vs {yv.size} labels")
+    spans = [(0, s.rows)] if spans is None else spans
+    hi, lo, weights = [], [], []
+    for a, b in spans:
+        i, j = np.nonzero(yv[a:b, None] > yv[None, a:b])
+        if i.size:
+            hi.append(i + a)
+            lo.append(j + a)
+            weights.append(np.full(i.size, 1.0 / (i.size * len(spans))))
     g = s.graph
-    if not pairs:
+    if not hi:
         return g.constant(0.0)
-    hi = fn.gather_rows(s, [i for i, _ in pairs])
-    lo = fn.gather_rows(s, [j for _, j in pairs])
-    p = fn.sigmoid(fn.sub(hi, lo))
+    p = fn.sigmoid(fn.sub(fn.gather_rows(s, np.concatenate(hi)),
+                          fn.gather_rows(s, np.concatenate(lo))))
     losses = fn.neg(fn.log(fn.clip(p, PROB_EPS, 1.0)))
-    return fn.scale(fn.sum_all(losses), 1.0 / len(pairs))
+    return fn.sum_all(fn.mul_elem(g.constant(np.concatenate(weights).reshape(-1, 1)), losses))
 
 
 def listnet_loss(s: Tensor, y: Sequence[float] | np.ndarray) -> Tensor:

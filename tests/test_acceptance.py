@@ -15,7 +15,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from mtlds.checks import check_aggregators, check_losses, check_total_loss
+from mtlds.checks import check_aggregators, check_batch_loss, check_losses
 from mtlds.cli import main
 from mtlds.data import SynthConfig, project_tasks, split, synthesize
 from mtlds.evaluation import auc, ndcg_at_k
@@ -102,12 +102,15 @@ def test_criterion_3_gradient_suite():
         results += check_aggregators(trials=20, seed=32)
         for r in results:
             assert r.worst < 1e-4, f"{r.name}: worst {r.worst:.2e}"
-        full = check_total_loss(seed=33)
-        assert full.worst < 1e-3, f"total_loss: worst {full.worst:.2e}"
+        models = check_batch_loss(seed=33)
+        assert len(models) == 7  # one per model kind
+        for r in models:
+            assert r.worst < 1e-3, f"{r.name}: worst {r.worst:.2e}"
         elapsed = time.time() - start
         assert elapsed < 60.0, f"gradient suite took {elapsed:.2f}s"
         print(f"  worst errors: losses/aggregators "
-              f"{max(r.worst for r in results):.2e}, total_loss {full.worst:.2e}")
+              f"{max(r.worst for r in results):.2e}, "
+              f"batch_loss {max(r.worst for r in models):.2e}")
 
     report(3, "gradient suite vs central differences", run)
 

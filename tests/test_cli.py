@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from mtlds.cli import experiment_hash, load_experiment_config, main
 from mtlds.data import load_dataset
+from mtlds.model import MODEL_KINDS
 
 runner = CliRunner()
 
@@ -170,9 +171,11 @@ class TestGradcheckCommand:
         assert result.exit_code == 0, result.output
         for item in ("op:softmax_rows", "loss:soft_sort+sort_loss", "loss:listnet",
                      "loss:ranknet", "loss:bce", "aggregate:mul", "aggregate:max",
-                     "aggregate:add", "aggregate:linear", "model:total_loss",
+                     "aggregate:add", "aggregate:linear", "op:concat_cols",
                      "property:urs_sweep"):
             assert item in result.output
+        for kind in MODEL_KINDS:
+            assert f"model:batch_loss:{kind} " in result.output
         assert "FAIL" not in result.output
 
     def test_injected_error_fails_nonzero(self):
@@ -189,6 +192,15 @@ class TestConfigHandling:
         result = runner.invoke(main, ["train", "--config", str(config)])
         assert result.exit_code == 2
         assert "exactly one" in result.output
+
+    def test_shared_field_name_in_data_header_exits_2(self, tmp_path):
+        data_path = tmp_path / "data.tsv"
+        data_path.write_text("!schema\tuser=id:4\titem=id:6\tdense=0\ttasks=click,buy\n"
+                             "imp0\t1\t2\t\t1,0\n", encoding="utf-8")
+        config = write_config(tmp_path, data={"path": str(data_path)})
+        result = runner.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "line 1" in result.output
 
     def test_unknown_key_rejected(self, tmp_path):
         config = write_config(tmp_path, optimizer="sgd")

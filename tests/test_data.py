@@ -5,17 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtlds.aggregate import LabelOrderError
+from mtlds.aggregate import LabelOrderError, LabelSequence, first_label_violation
 from mtlds.data import (
     Dataset,
     DatasetFormatError,
+    FieldSpec,
+    Impression,
+    Sample,
+    Schema,
     SynthConfig,
     batch_impressions,
     load_dataset,
     project_tasks,
     split,
     synthesize,
-    validate_labels,
     write_dataset,
 )
 
@@ -52,6 +55,18 @@ class TestLoadDataset:
         write_dataset(load_dataset(out1), out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_numpy_float_dense_values_round_trip(self, tmp_path):
+        schema = Schema((FieldSpec("user_id", 4),), (FieldSpec("item_id", 6),), 2,
+                        ("click", "purchase"))
+        samples = tuple(
+            Sample("imp0", (1,), (i,), (np.float64(0.5), np.float64(-1.25) * i),
+                   LabelSequence((1, 0)))
+            for i in range(3))
+        ds = Dataset(schema, (Impression("imp0", samples),))
+        path = tmp_path / "ds.tsv"
+        write_dataset(ds, path)
+        assert load_dataset(path) == ds
+
     def test_header_only_gives_empty_dataset(self, tmp_path):
         ds = load_dataset(write_lines(tmp_path, [HEADER]))
         assert ds.impressions == ()
@@ -70,6 +85,15 @@ class TestLoadDataset:
     def test_wrong_label_count_rejected(self, tmp_path):
         path = write_lines(tmp_path, [HEADER, "imp0\t1\t2\t\t1"])
         with pytest.raises(DatasetFormatError, match="expected 2 labels"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("fields,message", [
+        ("user=id:4\titem=id:6", "unique"),
+        ("user=user_id:0\titem=item_id:6", "cardinality"),
+    ])
+    def test_bad_header_fields_rejected_at_line_one(self, tmp_path, fields, message):
+        path = write_lines(tmp_path, [f"!schema\t{fields}\tdense=0\ttasks=click"])
+        with pytest.raises(DatasetFormatError, match=f"line 1: .*{message}"):
             load_dataset(path)
 
     def test_missing_header_rejected(self, tmp_path):
@@ -100,6 +124,17 @@ class TestLoadDataset:
         assert [s.item_ids[0] for s in ds.impressions[0].samples] == [2, 4]
 
 
+class TestSchema:
+    def test_user_and_item_field_names_must_differ(self):
+        with pytest.raises(ValueError, match="unique.*'id'"):
+            Schema((FieldSpec("id", 4),), (FieldSpec("id", 6),), 0, ("click",))
+
+    @pytest.mark.parametrize("cardinality", [0, -3])
+    def test_cardinality_below_one_rejected(self, cardinality):
+        with pytest.raises(ValueError, match="cardinality"):
+            Schema((FieldSpec("user_id", cardinality),), (), 0, ("click",))
+
+
 class TestValidateLabels:
     @pytest.mark.parametrize("labels,expected", [
         ((1, 1, 0), None),
@@ -108,7 +143,7 @@ class TestValidateLabels:
         ((0, 1), 0),
     ])
     def test_cases(self, labels, expected):
-        assert validate_labels(labels) == expected
+        assert first_label_violation(labels) == expected
 
 
 class TestSynthesize:
@@ -123,7 +158,7 @@ class TestSynthesize:
     def test_all_label_sequences_valid_by_construction(self):
         ds = synthesize(SynthConfig(impressions=60, users=10, items=30))
         for s in ds.iter_samples():
-            assert validate_labels(s.labels.labels) is None
+            assert first_label_violation(s.labels.labels) is None
 
     def test_huge_negative_bias_suppresses_post_click(self):
         cfg = SynthConfig(impressions=50, users=10, items=30, noise=0.0,

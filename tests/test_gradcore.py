@@ -61,6 +61,11 @@ class TestForward:
         with pytest.raises(ShapeMismatchError, match="gather_rows"):
             fn.gather_rows(g.tensor(np.zeros((2, 2))), [2])
 
+    def test_gather_rows_names_the_bad_index(self):
+        g = Graph()
+        with pytest.raises(ShapeMismatchError, match="index -1 out of range for 2 rows"):
+            fn.gather_rows(g.tensor(np.zeros((2, 2))), [0, -1, 5])
+
     def test_broadcast_needs_column(self):
         g = Graph()
         with pytest.raises(ShapeMismatchError):
@@ -176,6 +181,11 @@ class TestConcatCols:
         out = concat_cols([g.tensor(a_v), g.tensor(b_v)])
         npt.assert_allclose(out.value, np.hstack([a_v, b_v]))
 
+    def test_concat_needs_equal_row_counts(self):
+        g = Graph()
+        with pytest.raises(ShapeMismatchError, match="concat_cols"):
+            concat_cols([g.tensor(np.zeros((2, 1))), g.tensor(np.zeros((3, 1)))])
+
     def test_concat_gradient(self):
         rng = np.random.default_rng(4)
         weights = rng.standard_normal((2, 5))
@@ -193,7 +203,7 @@ def test_every_registry_op_passes_grad_check_on_20_inputs():
     from mtlds.checks import check_registry_ops
 
     results = check_registry_ops(trials=20, seed=7)
-    assert len(results) == 17  # every differentiable op tag
+    assert len(results) == 18  # every differentiable op tag
     for r in results:
         assert r.worst < 1e-4, f"{r.name}: worst relative error {r.worst:.2e}"
 

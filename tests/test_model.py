@@ -6,6 +6,7 @@ from mtlds.aggregate import LabelSequence
 from mtlds.data import FieldSpec, Impression, Sample, Schema, SynthConfig, split, synthesize
 from mtlds.gradcore import Graph
 from mtlds.model import (
+    MODEL_KINDS,
     DivergenceError,
     ModelConfig,
     SharedBottomModel,
@@ -99,7 +100,7 @@ class TestTotalLoss:
         model = SharedBottomModel(tiny_schema(), config)
         g = Graph()
         pt = model.bind(g)
-        total = model.total_loss(g, [IMP], pt).item()
+        total = model.batch_loss(g, [IMP], pt).item()
 
         cols = model.task_columns(Graph(), encode_samples(model.schema, IMP.samples))
         expected = 0.0
@@ -116,7 +117,7 @@ class TestTotalLoss:
         g = Graph()
         task_terms, listwise = model.loss_components(g, [imp])
         assert listwise.item() < 1e-9
-        total = model.total_loss(Graph(), [imp]).item()
+        total = model.batch_loss(Graph(), [imp]).item()
         assert total == pytest.approx(sum(t.item() for t in task_terms), abs=1e-9)
 
     def test_additivity_of_components(self):
@@ -124,7 +125,7 @@ class TestTotalLoss:
         g = Graph()
         pt = model.bind(g)
         task_terms, listwise = model.loss_components(g, [IMP], pt)
-        total = model.total_loss(g, [IMP], pt).item()
+        total = model.batch_loss(g, [IMP], pt).item()
         expected = sum(t.item() for t in task_terms) + 1.5 * listwise.item()
         assert total == pytest.approx(expected, abs=1e-9)
 
@@ -138,16 +139,144 @@ class TestTotalLoss:
         model = SharedBottomModel(tiny_schema(), small_config())
         g = Graph()
         pt = model.bind(g)
-        loss = model.total_loss(g, [IMP], pt)
+        loss = model.batch_loss(g, [IMP], pt)
         grads = g.backward(loss)
         agg_grad = grads[pt["agg/w"].node_id]
         assert np.any(np.abs(agg_grad) > 1e-8)
 
-    def test_wrong_kind_rejected(self):
-        model = SharedBottomModel(tiny_schema(), small_config(kind="esmm"))
-        with pytest.raises(ValueError, match="total_loss"):
-            model.total_loss(Graph(), [IMP])
 
+# Two impressions of different lengths, so the per-impression means and the
+# mean over impressions both matter.
+PIN_BATCH = [
+    make_impression("a", [(1, 1), (0, 0), (1, 0), (0, 0), (1, 1)], dense=1, seed=11),
+    make_impression("b", [(1, 0), (0, 0), (1, 1)], dense=1, seed=12),
+]
+PIN_CONFIGS = {kind: {"kind": kind} for kind in MODEL_KINDS}
+PIN_CONFIGS["mtlds-bce-ranknet"] = {"kind": "mtlds", "task_loss": ("bce", "ranknet")}
+
+# batch_loss on PIN_BATCH and the sum of each parameter's gradient, recorded
+# before the per-kind loss methods were merged into batch_loss.  A loss
+# refactor must reproduce them.
+PINNED = {
+    "mtlds": (6.912191914170256, {
+        "emb/user_id": -0.057001167958990934,
+        "emb/item_id": 0.9906932453544148,
+        "shared/0/W": -0.3165613138894401,
+        "shared/0/b": 0.4315244474901544,
+        "tower/0/0/W": -0.8478510878132479,
+        "tower/0/0/b": 0.11055390681122568,
+        "tower/0/1/W": -0.25219511124866684,
+        "tower/0/1/b": 0.08416332486944503,
+        "tower/1/0/W": 0.25214759523009445,
+        "tower/1/0/b": 0.05902817276558827,
+        "tower/1/1/W": -0.48868710882176797,
+        "tower/1/1/b": 0.006419264845668127,
+        "agg/w": -0.17831228594227064,
+    }),
+    "mtl_listnet": (2.7503620624842813, {
+        "emb/user_id": -0.09877446581186232,
+        "emb/item_id": 0.21398300460124745,
+        "shared/0/W": -0.01234741700471293,
+        "shared/0/b": 0.07628555684528,
+        "tower/0/0/W": -0.16565219577729268,
+        "tower/0/0/b": -0.04992384022730888,
+        "tower/0/1/W": -0.012038762688157035,
+        "tower/0/1/b": -0.0005850398342620855,
+        "tower/1/0/W": 0.03647239508174823,
+        "tower/1/0/b": 0.0030769620065168573,
+        "tower/1/1/W": -0.062254547268666166,
+        "tower/1/1/b": 0.0011812793076981798,
+        "agg/w": 0.004258210361157155,
+    }),
+    "esmm": (1.3417781671788198, {
+        "emb/user_id": -0.22935294908718362,
+        "emb/item_id": 0.38636176806333117,
+        "shared/0/W": 0.05450944618533861,
+        "shared/0/b": 0.1285450652178878,
+        "tower/0/0/W": -0.35388953050362254,
+        "tower/0/0/b": -0.14265746417917308,
+        "tower/0/1/W": -0.04280795952450926,
+        "tower/0/1/b": -0.07120341009183898,
+        "tower/1/0/W": 0.04886084276370894,
+        "tower/1/0/b": 0.015411654333525787,
+        "tower/1/1/W": -0.10161955443807436,
+        "tower/1/1/b": -0.06728885453995088,
+    }),
+    "esmm_pairwise": (1.3867507532637664, {
+        "emb/user_id": -0.08751211961360886,
+        "emb/item_id": 0.19667342084137962,
+        "shared/0/W": 0.02609642792274329,
+        "shared/0/b": 0.06422475596468413,
+        "tower/0/0/W": -0.13685359811274606,
+        "tower/0/0/b": -0.04022193160054037,
+        "tower/0/1/W": -0.011203688293402117,
+        "tower/0/1/b": 0.002152177228347034,
+        "tower/1/0/W": 0.014234766300696297,
+        "tower/1/0/b": 0.0013201101203398772,
+        "tower/1/1/W": -0.026578432360367762,
+        "tower/1/1/b": -0.0021540469456032482,
+    }),
+    "dnn_pointwise": (0.758901073673987, {
+        "emb/user_id": -0.13465692677525445,
+        "emb/item_id": 0.6347965490801214,
+        "shared/0/W": 0.1737566525892291,
+        "shared/0/b": 0.3392514326444078,
+        "tower/0/0/W": 0.15314871531377378,
+        "tower/0/0/b": 0.21927831273234105,
+        "tower/0/1/W": 0.15272677612155558,
+        "tower/0/1/b": 0.23504776187963228,
+    }),
+    "dnn_pairwise": (0.6886615402939845, {
+        "emb/user_id": -0.0591425102346294,
+        "emb/item_id": 0.13431794177627895,
+        "shared/0/W": 0.0317825525284465,
+        "shared/0/b": 0.04493791629027013,
+        "tower/0/0/W": -0.08411637352165116,
+        "tower/0/0/b": -0.021074313328741674,
+        "tower/0/1/W": -0.005817882961735614,
+        "tower/0/1/b": 0.0009492986144217092,
+    }),
+    "dnn_diffsort": (5.437518920407342, {
+        "emb/user_id": -0.23208470035830497,
+        "emb/item_id": 1.0589659683056807,
+        "shared/0/W": -0.25450644664827315,
+        "shared/0/b": 0.39790367718642816,
+        "tower/0/0/W": -0.7193036111755998,
+        "tower/0/0/b": 0.15072594260673242,
+        "tower/0/1/W": -0.22759048627569245,
+        "tower/0/1/b": 0.08376141329676492,
+    }),
+    "mtlds-bce-ranknet": (6.884950165802277, {
+        "emb/user_id": -0.1447910045108412,
+        "emb/item_id": 1.1274368329797533,
+        "shared/0/W": -0.2609825214773449,
+        "shared/0/b": 0.4603312092177647,
+        "tower/0/0/W": -0.9483619716993592,
+        "tower/0/0/b": 0.05729945244778237,
+        "tower/0/1/W": -0.257205705418617,
+        "tower/0/1/b": 0.05438417279600988,
+        "tower/1/0/W": 0.25214759523009445,
+        "tower/1/0/b": 0.05902817276558827,
+        "tower/1/1/W": -0.48868710882176797,
+        "tower/1/1/b": 0.006419264845668127,
+        "agg/w": -0.17831228594227064,
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_batch_loss_and_gradients_match_pinned_values(case):
+    model = SharedBottomModel(tiny_schema(dense=1), small_config(**PIN_CONFIGS[case]))
+    g = Graph()
+    pt = model.bind(g)
+    loss = model.batch_loss(g, PIN_BATCH, pt)
+    grads = g.backward(loss)
+    expected_loss, expected_sums = PINNED[case]
+    npt.assert_allclose(loss.item(), expected_loss, rtol=1e-12, atol=0)
+    assert list(expected_sums) == list(model.params)
+    for name, expected in expected_sums.items():
+        npt.assert_allclose(grads[pt[name].node_id].sum(), expected, rtol=1e-12, atol=0,
+                            err_msg=name)
 
 class TestHardParameterSharing:
     def _outputs(self, model):
@@ -179,7 +308,7 @@ class TestESMM:
         model = SharedBottomModel(tiny_schema(), small_config(kind="esmm"))
         g = Graph()
         pt = model.bind(g)
-        loss = model.esmm_loss(g, [IMP], pt).item()
+        loss = model.batch_loss(g, [IMP], pt).item()
 
         cols = model.task_columns(Graph(), encode_samples(model.schema, IMP.samples))
         p_click = cols[0].value[:, 0]
@@ -201,14 +330,14 @@ class TestESMM:
         for t in range(2):
             model.params[f"tower/{t}/{head}/b"] = np.full((1, 1), -40.0)
         imp = make_impression("neg", [(0, 0), (0, 0), (0, 0)])
-        loss = model.esmm_loss(Graph(), [imp]).item()
+        loss = model.batch_loss(Graph(), [imp]).item()
         assert loss < 1e-6
 
     def test_pairwise_variant_runs_and_differs(self):
         a = SharedBottomModel(tiny_schema(), small_config(kind="esmm"))
         b = SharedBottomModel(tiny_schema(), small_config(kind="esmm_pairwise"))
-        la = a.esmm_loss(Graph(), [IMP]).item()
-        lb = b.esmm_loss(Graph(), [IMP]).item()
+        la = a.batch_loss(Graph(), [IMP]).item()
+        lb = b.batch_loss(Graph(), [IMP]).item()
         assert la != pytest.approx(lb, abs=1e-12)
 
 
@@ -216,12 +345,12 @@ class TestSingleTaskBaselines:
     def test_pairwise_zero_when_labels_equal(self):
         model = SharedBottomModel(tiny_schema(), small_config(kind="dnn_pairwise"))
         imp = make_impression("flat", [(1, 0), (1, 0), (1, 0)])
-        assert model.single_task_loss(Graph(), [imp]).item() == 0.0
+        assert model.batch_loss(Graph(), [imp]).item() == 0.0
 
     def test_diffsort_single_item_negligible(self):
         model = SharedBottomModel(tiny_schema(), small_config(kind="dnn_diffsort"))
         imp = make_impression("one", [(1, 1)])
-        assert model.single_task_loss(Graph(), [imp]).item() < 1e-9
+        assert model.batch_loss(Graph(), [imp]).item() < 1e-9
 
     def test_pointwise_perfect_prediction_small_loss(self):
         model = SharedBottomModel(tiny_schema(), small_config(kind="dnn_pointwise"))
@@ -229,7 +358,7 @@ class TestSingleTaskBaselines:
         model.params[f"tower/0/{head}/b"] = np.full((1, 1), -40.0)
         model.params[f"tower/0/{head}/W"] = np.zeros_like(model.params[f"tower/0/{head}/W"])
         imp = make_impression("negs", [(1, 0), (0, 0), (1, 0)])
-        assert model.single_task_loss(Graph(), [imp]).item() < 1e-6
+        assert model.batch_loss(Graph(), [imp]).item() < 1e-6
 
     def test_single_tower_for_dnn_kinds(self):
         for kind in ("dnn_pointwise", "dnn_pairwise", "dnn_diffsort"):

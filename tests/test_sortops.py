@@ -258,6 +258,15 @@ class TestBCELoss:
         y = rng.integers(0, 2, 5)
         assert grad_check(lambda t: bce_loss(t, y), p) < 1e-5
 
+    def test_mean_per_span_then_over_spans(self):
+        p = np.array([0.9, 0.2, 0.6, 0.3, 0.7])
+        y = np.array([1, 0, 1, 1, 0])
+        spans = [(0, 2), (2, 5)]
+        per_sample = -(y * np.log(p) + (1 - y) * np.log(1 - p))
+        expected = np.mean([per_sample[a:b].mean() for a, b in spans])
+        loss = bce_loss(Graph().tensor(p), y, spans).item()
+        assert loss == pytest.approx(expected, rel=1e-12)
+
 
 class TestRanknetLoss:
     def test_confident_correct_pair(self):
@@ -287,6 +296,21 @@ class TestRanknetLoss:
         rng = np.random.default_rng(9)
         s = rng.standard_normal((4, 1))
         assert grad_check(lambda t: ranknet_loss(t, [2, 1, 1, 0]), s) < 1e-5
+
+    def test_mean_per_span_then_over_spans(self):
+        s = np.random.default_rng(10).standard_normal(9)
+        y = [2, 1, 0, 0, 1, 1, 0, 1, 1]
+        spans = [(0, 4), (4, 7), (7, 9)]  # the last span has no ordered pair
+
+        def span_loss(a, b):
+            pairs = [(i, j) for i in range(a, b) for j in range(a, b) if y[i] > y[j]]
+            if not pairs:
+                return 0.0
+            return np.mean([math.log1p(math.exp(-(s[i] - s[j]))) for i, j in pairs])
+
+        expected = np.mean([span_loss(a, b) for a, b in spans])
+        loss = ranknet_loss(Graph().tensor(s), y, spans).item()
+        assert loss == pytest.approx(expected, rel=1e-12)
 
 
 class TestListnetLoss:
