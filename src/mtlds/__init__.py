@@ -18,9 +18,6 @@ from .evaluation import MetricReport, auc, ndcg_at_k
 from .gradcore import Graph, Tensor, grad_check
 from .model import ModelConfig, SharedBottomModel, TrainReport, evaluate_model, fit
 from .sortops import (
-    Permutation,
-    PermutationMatrix,
-    URSMatrix,
     argsort_desc,
     is_unimodal_row_stochastic,
     perm_matrix,
@@ -38,15 +35,12 @@ __all__ = [
     "LabelSequence",
     "MetricReport",
     "ModelConfig",
-    "Permutation",
-    "PermutationMatrix",
     "Sample",
     "Schema",
     "SharedBottomModel",
     "SynthConfig",
     "Tensor",
     "TrainReport",
-    "URSMatrix",
     "aggregate_labels",
     "aggregate_predictions",
     "argsort_desc",

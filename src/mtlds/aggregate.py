@@ -9,7 +9,7 @@ import numpy as np
 
 from .gradcore import Tensor, fn
 from .gradcore.tensor import ShapeMismatchError
-from .sortops import PermutationMatrix, argsort_desc, perm_matrix
+from .sortops import argsort_desc, perm_matrix
 
 AGGREGATOR_KINDS = ("mul", "max", "add", "linear")
 
@@ -129,8 +129,9 @@ def aggregate_labels(labels: LabelSequence | Sequence[int]) -> int:
     return sum(labels)
 
 
-def label_permutation(scores: Sequence[int]) -> PermutationMatrix:
-    """Ground-truth permutation matrix for one impression's aggregated labels.
+def label_permutation(scores: Sequence[int]) -> np.ndarray:
+    """Ground-truth one-hot permutation matrix for one impression's aggregated
+    labels.
 
     Stable descending sort, so equal scores keep their original order and the
     matrix is deterministic.

@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ConfigError(f"split needs 3 fractions (train, valid, test), got {self.split}")
         if not self.seeds:
             raise ConfigError("seed list is empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seed list has repeats: {list(self.seeds)}")
         if not self.cutoffs or any(k < 1 for k in self.cutoffs):
             raise ConfigError(f"cutoffs must be positive integers, got {self.cutoffs}")
 
@@ -255,7 +257,7 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
         "std": {},
     }
     for key in metric_keys:
-        values = [metric_value(r, key) for r in reports.values()]  # each distinct seed once
+        values = [metric_value(r, key) for r in reports.values()]
         aggregate["mean"][key] = float(np.mean(values))
         aggregate["std"][key] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     _write_json(out_dir / "aggregate.json", aggregate)

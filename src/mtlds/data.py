@@ -15,6 +15,7 @@ logged warning.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -53,6 +54,10 @@ class Schema:
         for f in self.cat_fields:
             if f.cardinality < 1:
                 raise ValueError(f"field {f.name!r}: cardinality must be >= 1, got {f.cardinality}")
+        if self.dense_count < 0:
+            raise ValueError(f"dense count must be >= 0, got {self.dense_count}")
+        if len(set(self.tasks)) != len(self.tasks):
+            raise ValueError(f"task names must be distinct, got {list(self.tasks)}")
 
     @property
     def task_count(self) -> int:
@@ -174,6 +179,8 @@ def _parse_line(line: str, schema: Schema, line_no: int) -> Sample:
     if len(dense) != schema.dense_count:
         raise DatasetFormatError(
             f"line {line_no}: expected {schema.dense_count} dense values, got {len(dense)}")
+    if not all(math.isfinite(x) for x in dense):
+        raise DatasetFormatError(f"line {line_no}: non-finite dense value in {dense_text!r}")
     if len(raw_labels) != schema.task_count:
         raise DatasetFormatError(
             f"line {line_no}: expected {schema.task_count} labels, got {len(raw_labels)}")
@@ -186,7 +193,8 @@ def _parse_line(line: str, schema: Schema, line_no: int) -> Sample:
 
 
 def load_dataset(path, on_invalid: str = "error") -> Dataset:
-    """Read a dataset file, grouping samples by impression id in file order.
+    """Read a dataset file, grouping samples by impression id in file order;
+    the lines of one impression must be adjacent.
 
     ``on_invalid="drop"`` discards samples with non-monotone labels with a
     warning instead of raising (for dirty real logs); format errors always
@@ -195,6 +203,7 @@ def load_dataset(path, on_invalid: str = "error") -> Dataset:
     if on_invalid not in ("error", "drop"):
         raise ValueError(f"on_invalid must be 'error' or 'drop', got {on_invalid!r}")
     groups: dict[str, list[Sample]] = {}
+    current = None
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
@@ -210,7 +219,12 @@ def load_dataset(path, on_invalid: str = "error") -> Dataset:
                     logger.warning("dropping sample: %s", exc)
                     continue
                 raise
-            groups.setdefault(sample.impression_id, []).append(sample)
+            if sample.impression_id != current and sample.impression_id in groups:
+                raise DatasetFormatError(
+                    f"line {line_no}: impression {sample.impression_id!r} reappears after "
+                    f"{current!r}; the lines of one impression must be adjacent")
+            current = sample.impression_id
+            groups.setdefault(current, []).append(sample)
     impressions = tuple(Impression(imp_id, tuple(samples))
                         for imp_id, samples in groups.items())
     return Dataset(schema=schema, impressions=impressions)

@@ -29,7 +29,6 @@ from .gradcore import AdamState, Graph, Tensor, adam_step, fn
 from .sortops import (
     bce_loss,
     listnet_loss,
-    ndcg_position_weights,
     ranknet_loss,
     soft_sort,
     sort_loss,
@@ -54,6 +53,11 @@ class DivergenceError(RuntimeError):
     """Training loss became non-finite."""
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is truncated, corrupt, or describes a model that the
+    current code rejects."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str = "mtlds"
@@ -68,7 +72,6 @@ class ModelConfig:
     batch_size: int = 64
     seed: int = 0
     sort_loss_weight: float = 1.0
-    normalize_sort_loss: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -77,8 +80,10 @@ class ModelConfig:
         for l in losses:
             if l not in TASK_LOSSES:
                 raise ValueError(f"unknown task loss {l!r}; choose from {tuple(TASK_LOSSES)}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
@@ -283,10 +288,7 @@ class SharedBottomModel:
             if use_listnet:
                 term = listnet_loss(s, scores)
             else:
-                p_hat = soft_sort(s, self.config.tau)
-                term = sort_loss(p_hat, label_permutation(scores),
-                                 ndcg_position_weights(b - a),
-                                 normalize=self.config.normalize_sort_loss)
+                term = sort_loss(soft_sort(s, self.config.tau), label_permutation(scores))
             total = term if total is None else fn.add(total, term)
         assert total is not None
         return total
@@ -537,19 +539,43 @@ def save_checkpoint(model: SharedBottomModel, path) -> None:
 
 
 def load_checkpoint(path) -> SharedBottomModel:
+    """Read a ``save_checkpoint`` file; every fault in it is a :class:`CheckpointError`."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-        (length,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(length).decode("utf-8"))
+        data = fh.read()
+    head = len(CHECKPOINT_MAGIC)
+    if data[:head] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"not a model checkpoint: bad magic {data[:head]!r}")
+    start = head + 8
+    if len(data) < start:
+        raise CheckpointError("truncated checkpoint: header ends before the manifest length")
+    (length,) = struct.unpack_from("<Q", data, head)
+    if len(data) < start + length:
+        raise CheckpointError(
+            f"truncated checkpoint: manifest of {length} bytes, {len(data) - start} present")
+    try:
+        manifest = json.loads(data[start:start + length].decode("utf-8"))
         if manifest["version"] != 1:
-            raise ValueError(f"unsupported checkpoint version {manifest['version']}")
+            raise CheckpointError(f"unsupported checkpoint version {manifest['version']}")
         model = SharedBottomModel(
             _schema_from_dict(manifest["schema"]),
             config_from_dict(manifest["config"]),
         )
-        for name, rows, cols in manifest["params"]:
-            raw = fh.read(rows * cols * 8)
-            model.params[name] = np.frombuffer(raw, dtype=np.float64).reshape(rows, cols).copy()
+        layout = [[name, *arr.shape] for name, arr in model.params.items()]
+        if manifest["params"] != layout:
+            raise CheckpointError(f"parameter layout {manifest['params']} does not match "
+                                  f"the model's {layout}")
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # JSON and unicode errors included
+        raise CheckpointError(f"bad checkpoint manifest: {type(exc).__name__}: {exc}") from None
+    offset = start + length
+    for name, rows, cols in layout:
+        if len(data) < offset + rows * cols * 8:
+            raise CheckpointError(f"truncated checkpoint: parameter {name!r} ({rows}x{cols}) "
+                                  f"needs {rows * cols * 8} bytes, {len(data) - offset} present")
+        model.params[name] = np.frombuffer(
+            data, dtype=np.float64, count=rows * cols, offset=offset).reshape(rows, cols).copy()
+        offset += rows * cols * 8
+    if offset != len(data):
+        raise CheckpointError(f"{len(data) - offset} trailing bytes after the last parameter grid")
     return model

@@ -8,7 +8,6 @@ else in the package inherits that convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,83 +20,35 @@ from .gradcore.tensor import ShapeMismatchError, as_matrix
 PROB_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0..n-1} stored as the list z with z[i] = index ranked i-th."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.indices)
-        if n == 0:
-            raise ValueError("empty permutation")
-        if sorted(self.indices) != list(range(n)):
-            raise ValueError(f"not a bijection on 0..{n - 1}: {self.indices}")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-
-@dataclass(frozen=True)
-class PermutationMatrix:
-    """One-hot row encoding of a permutation: entries[i, j] = 1 iff j = z[i]."""
-
-    entries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class URSMatrix:
-    """Unimodal row stochastic relaxation of a permutation matrix, on a graph."""
-
-    tensor: Tensor
-
-    @property
-    def n(self) -> int:
-        return self.tensor.rows
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tensor.value
-
-
-@dataclass(frozen=True)
-class PositionWeights:
-    """Per-rank penalty weights, strictly decreasing."""
-
-    w: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.w)
-
-
-def argsort_desc(s: Sequence[float] | np.ndarray) -> Permutation:
-    """Descending argsort with stable ties (smaller original index wins)."""
+def argsort_desc(s: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Descending argsort with stable ties (smaller original index wins):
+    the ``np.intp`` array z with z[i] = index ranked i-th."""
     a = np.asarray(s, dtype=np.float64).reshape(-1)
     if a.size == 0:
         raise ValueError("argsort_desc: empty input")
     if not np.all(np.isfinite(a)):
         raise ValueError("argsort_desc: input contains non-finite values")
-    order = np.argsort(-a, kind="stable")
-    return Permutation(tuple(int(i) for i in order))
+    return np.argsort(-a, kind="stable")
 
 
-def perm_matrix(z: Permutation) -> PermutationMatrix:
-    """One-hot matrix of a permutation; identity permutation gives the identity."""
-    n = len(z)
+def perm_matrix(order: Sequence[int] | np.ndarray) -> np.ndarray:
+    """One-hot matrix of a permutation: entry [i, j] = 1 iff j = order[i], so
+    the identity permutation gives the identity.  ``order`` must be a
+    bijection on 0..n-1."""
+    z = np.asarray(order)
+    n = z.size
+    if n == 0:
+        raise ValueError("empty permutation")
+    if z.ndim != 1 or z.dtype.kind not in "iu" or not np.array_equal(np.sort(z), np.arange(n)):
+        raise ValueError(f"not a bijection on 0..{n - 1}: {z.tolist()}")
     m = np.zeros((n, n))
-    m[np.arange(n), list(z)] = 1.0
-    return PermutationMatrix(m)
+    m[np.arange(n), z] = 1.0
+    return m
 
 
-def soft_sort(s: Tensor, tau: float) -> URSMatrix:
-    """Continuous relaxation of the argsort permutation matrix.
+def soft_sort(s: Tensor, tau: float) -> Tensor:
+    """Continuous relaxation of the argsort permutation matrix: an (n, n)
+    unimodal row-stochastic tensor on the graph of ``s``.
 
     Row-wise softmax of the negative scaled Manhattan distances between the
     descending-sorted scores and the raw scores: row i is the softmax of
@@ -110,28 +61,23 @@ def soft_sort(s: Tensor, tau: float) -> URSMatrix:
     if s.cols != 1:
         raise ShapeMismatchError(f"soft_sort expects an (n, 1) score tensor, got {s.shape}")
     n = s.rows
-    z = argsort_desc(s.value[:, 0])
-    sorted_s = fn.gather_rows(s, z.indices)
+    sorted_s = fn.gather_rows(s, argsort_desc(s.value[:, 0]))
     left = fn.broadcast_col(sorted_s, n)   # (i, j) = sorted[i]
     right = fn.broadcast_row(s, n)         # (i, j) = s[j]
     dist = fn.abs_(fn.sub(left, right))
     logits = fn.scale(dist, -1.0 / tau)
-    return URSMatrix(fn.softmax_rows(logits))
+    return fn.softmax_rows(logits)
 
 
-def is_unimodal_row_stochastic(m, tol: float = 1e-6) -> tuple[bool, str | None]:
+def is_unimodal_row_stochastic(m: Tensor | np.ndarray,
+                               tol: float = 1e-6) -> tuple[bool, str | None]:
     """Check the three URS conditions in order; report the first violation.
 
     Conditions: non-negativity (entries >= -tol), row affinity (row sums
     within tol of 1), argmax permutation (row-wise argmax, first-wins ties,
     is a bijection).
     """
-    if isinstance(m, URSMatrix):
-        a = m.value
-    elif isinstance(m, Tensor):
-        a = m.value
-    else:
-        a = as_matrix(m)
+    a = m.value if isinstance(m, Tensor) else as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"URS check needs a square matrix, got {a.shape}")
     if np.any(a < -tol):
@@ -144,46 +90,37 @@ def is_unimodal_row_stochastic(m, tol: float = 1e-6) -> tuple[bool, str | None]:
     return True, None
 
 
-def ndcg_position_weights(n: int) -> PositionWeights:
-    """Rank-discount weights w[i] = 1 / log2(i + 2) for 0-based position i."""
+def ndcg_position_weights(n: int) -> np.ndarray:
+    """Rank-discount weights w[i] = 1 / log2(i + 2) for 0-based position i,
+    strictly decreasing."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return PositionWeights(tuple(1.0 / math.log2(i + 2) for i in range(n)))
+    return np.array([1.0 / math.log2(i + 2) for i in range(n)])
 
 
-def sort_loss(
-    p_hat: URSMatrix,
-    p: PermutationMatrix,
-    w: PositionWeights,
-    normalize: bool = False,
-) -> Tensor:
+def sort_loss(p_hat: Tensor, p: np.ndarray) -> Tensor:
     """Position-weighted cross-entropy between a URS matrix and a hard permutation.
 
     -sum_i w[i] * sum_j [P[i,j] log P_hat[i,j] + (1 - P[i,j]) log(1 - P_hat[i,j])],
-    with P_hat clipped to [1e-12, 1 - 1e-12] before the logs.  ``normalize``
-    divides by the list size (off by default: the raw double sum).
+    with w = ``ndcg_position_weights(n)`` and P_hat clipped to
+    [1e-12, 1 - 1e-12] before the logs.
     """
-    n = p_hat.n
-    if p.n != n or len(w) != n:
-        raise ShapeMismatchError(
-            f"sort_loss: sizes differ (P_hat {n}, P {p.n}, weights {len(w)})")
-    t = p_hat.tensor
-    g = t.graph
-    p_const = g.constant(p.entries)
-    p_comp = g.constant(1.0 - p.entries)
-    w_col = g.constant(np.asarray(w.w).reshape(-1, 1))
+    n = p_hat.rows
+    if p_hat.shape != (n, n) or p.shape != (n, n):
+        raise ShapeMismatchError(f"sort_loss: sizes differ (P_hat {p_hat.shape}, P {p.shape})")
+    g = p_hat.graph
+    p_const = g.constant(p)
+    p_comp = g.constant(1.0 - p)
+    w_col = g.constant(ndcg_position_weights(n).reshape(-1, 1))
 
-    clipped = fn.clip(t, PROB_EPS, 1.0 - PROB_EPS)
-    comp = fn.clip(fn.sub(g.constant(np.ones((n, n))), t), PROB_EPS, 1.0)
+    clipped = fn.clip(p_hat, PROB_EPS, 1.0 - PROB_EPS)
+    comp = fn.clip(fn.sub(g.constant(np.ones((n, n))), p_hat), PROB_EPS, 1.0)
     per_entry = fn.add(
         fn.mul_elem(p_const, fn.log(clipped)),
         fn.mul_elem(p_comp, fn.log(comp)),
     )
     weighted = fn.mul_elem(fn.broadcast_col(w_col, n), per_entry)
-    loss = fn.neg(fn.sum_all(weighted))
-    if normalize:
-        loss = fn.scale(loss, 1.0 / n)
-    return loss
+    return fn.neg(fn.sum_all(weighted))
 
 
 def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,

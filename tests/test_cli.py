@@ -1,12 +1,14 @@
 import json
 import re
+import struct
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
 from mtlds.cli import experiment_hash, load_experiment_config, main
 from mtlds.data import load_dataset
-from mtlds.model import MODEL_KINDS
+from mtlds.model import CHECKPOINT_MAGIC, MODEL_KINDS, CheckpointError, load_checkpoint
 
 runner = CliRunner()
 
@@ -165,6 +167,54 @@ class TestEval:
         assert "user_fields" in result.output
 
 
+class TestEvalCheckpointErrors:
+    """Each fault in a checkpoint file exits 2 with a named message, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("ckpt")
+        config = write_config(tmp_path)
+        data_path = tmp_path / "data.tsv"
+        assert runner.invoke(main, ["synth", "--config", str(config), "--out", str(data_path)]).exit_code == 0
+        assert runner.invoke(main, ["train", "--config", str(config)]).exit_code == 0
+        return tmp_path / "runs" / "seed1" / "checkpoint.bin", data_path
+
+    @staticmethod
+    def rewrite_manifest(raw: bytes, edit) -> bytes:
+        head = len(CHECKPOINT_MAGIC)
+        (length,) = struct.unpack("<Q", raw[head:head + 8])
+        manifest = json.loads(raw[head + 8:head + 8 + length])
+        edit(manifest)
+        blob = json.dumps(manifest).encode("utf-8")
+        return raw[:head] + struct.pack("<Q", len(blob)) + blob + raw[head + 8 + length:]
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda raw: b"NOTMTLDS" + raw[8:], "bad magic"),
+        (lambda raw: raw[:len(CHECKPOINT_MAGIC) + 3], "header ends before the manifest length"),
+        (lambda raw: raw[:len(CHECKPOINT_MAGIC) + 8 + 20], "truncated checkpoint: manifest of"),
+        (lambda raw: raw[:len(CHECKPOINT_MAGIC)] + struct.pack("<Q", 9) + b"{not json",
+         "bad checkpoint manifest: JSONDecodeError"),
+        (lambda raw: raw[:-4], "truncated checkpoint: parameter"),
+        (lambda raw: raw + bytes(8), "8 trailing bytes"),
+        (lambda raw: TestEvalCheckpointErrors.rewrite_manifest(
+            raw, lambda m: m["config"].update(unknown_option=False)),
+         "bad checkpoint manifest: TypeError"),
+        (lambda raw: TestEvalCheckpointErrors.rewrite_manifest(
+            raw, lambda m: m["schema"].update(dense_count=-1)),
+         "bad checkpoint manifest: ValueError: dense count"),
+    ], ids=["magic", "short-header", "short-manifest", "json", "truncated-params",
+            "trailing-bytes", "unknown-config-key", "rejected-schema"])
+    def test_corrupt_checkpoint_exits_2(self, trained, tmp_path, corrupt, message):
+        ckpt, data_path = trained
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(corrupt(ckpt.read_bytes()))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(bad)
+        result = runner.invoke(main, ["eval", "--checkpoint", str(bad), "--data", str(data_path)])
+        assert result.exit_code == 2, result.output
+        assert "error: " in result.output and message in result.output
+
+
 class TestGradcheckCommand:
     def test_quick_pass(self):
         result = runner.invoke(main, ["gradcheck", "--trials", "2"])
@@ -212,6 +262,20 @@ class TestConfigHandling:
         config = write_config(tmp_path, model={"kind": "gbdt"})
         result = runner.invoke(main, ["train", "--config", str(config)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"seeds": [1, 1, 2]}, "seed list has repeats"),
+        ({"model": {"tau": float("nan")}}, "tau must be positive and finite"),
+        ({"model": {"tau": float("inf")}}, "tau must be positive and finite"),
+        ({"model": {"learning_rate": float("nan")}}, "learning_rate must be positive and finite"),
+        ({"model": {"learning_rate": 0.0}}, "learning_rate must be positive and finite"),
+    ], ids=["repeated-seeds", "tau-nan", "tau-inf", "lr-nan", "lr-zero"])
+    def test_bad_config_value_exits_2(self, tmp_path, overrides, message):
+        config = write_config(tmp_path, **overrides)
+        result = runner.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "runs").exists()
 
     def test_hash_tracks_config_changes(self, tmp_path):
         a = load_experiment_config(write_config(tmp_path, name="a.yaml"))

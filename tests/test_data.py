@@ -96,6 +96,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=f"line 1: .*{message}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("dense,tasks,message", [
+        ("-1", "click", "dense count must be >= 0"),
+        ("0", "click,click", "task names must be distinct"),
+    ])
+    def test_bad_dense_count_or_tasks_rejected_at_line_one(self, tmp_path, dense, tasks, message):
+        path = write_lines(tmp_path, [
+            f"!schema\tuser=user_id:4\titem=item_id:6\tdense={dense}\ttasks={tasks}"])
+        with pytest.raises(DatasetFormatError, match=f"line 1: {message}"):
+            load_dataset(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = write_lines(tmp_path, ["imp0\t1\t2\t\t1,0"])
         with pytest.raises(DatasetFormatError, match="header"):
@@ -116,12 +126,30 @@ class TestLoadDataset:
         path = write_lines(tmp_path, [
             HEADER,
             "impB\t1\t2\t\t1,0",
-            "impA\t1\t3\t\t0,0",
             "impB\t1\t4\t\t0,0",
+            "impA\t1\t3\t\t0,0",
         ])
         ds = load_dataset(path)
         assert [imp.id for imp in ds.impressions] == ["impB", "impA"]
         assert [s.item_ids[0] for s in ds.impressions[0].samples] == [2, 4]
+
+    def test_impression_id_reappearing_after_another_rejected(self, tmp_path):
+        path = write_lines(tmp_path, [
+            HEADER,
+            "impA\t1\t2\t\t1,0",
+            "impB\t1\t3\t\t0,0",
+            "impA\t1\t4\t\t0,0",
+        ])
+        with pytest.raises(DatasetFormatError, match="line 4: impression 'impA' reappears"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_dense_value_rejected(self, tmp_path, value):
+        header = "!schema\tuser=user_id:4\titem=item_id:6\tdense=2\ttasks=click,purchase"
+        path = write_lines(tmp_path, [header, "imp0\t1\t2\t0.5,0.25\t1,0",
+                                      f"imp0\t1\t3\t{value},0.25\t0,0"])
+        with pytest.raises(DatasetFormatError, match="line 3: non-finite dense value"):
+            load_dataset(path)
 
 
 class TestSchema:
