@@ -12,7 +12,7 @@ Library layout:
 * ``cli``         command-line interface (``mtlds`` entry point)
 """
 
-from .aggregate import AggregatorSpec, LabelSequence, aggregate_labels, aggregate_predictions
+from .aggregate import LabelSequence, aggregate_columns, aggregate_labels, aggregate_predictions
 from .data import Dataset, Impression, Sample, Schema, SynthConfig, load_dataset, synthesize
 from .evaluation import MetricReport, auc, ndcg_at_k
 from .gradcore import Graph, Tensor, grad_check
@@ -28,7 +28,6 @@ from .sortops import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatorSpec",
     "Dataset",
     "Graph",
     "Impression",
@@ -41,6 +40,7 @@ __all__ = [
     "SynthConfig",
     "Tensor",
     "TrainReport",
+    "aggregate_columns",
     "aggregate_labels",
     "aggregate_predictions",
     "argsort_desc",

@@ -49,69 +49,43 @@ class LabelSequence:
         return iter(self.labels)
 
 
-@dataclass(frozen=True)
-class AggregatorSpec:
-    """Which operator combines the per-task probabilities.
-
-    ``weights`` exist only for the linear kind (learnable, one per task);
-    the add kind fixes every weight to 1.
-    """
-
-    kind: str
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in AGGREGATOR_KINDS:
-            raise ValueError(f"unknown aggregator {self.kind!r}; choose from {AGGREGATOR_KINDS}")
-        if (self.weights is not None) != (self.kind == "linear"):
-            raise ValueError("weights are required for linear and forbidden otherwise")
-
-
-def _check_weight(spec: AggregatorSpec, task_count: int, weight: Tensor | None) -> None:
-    if spec.kind != "linear":
-        return
-    if weight is not None:
-        if weight.shape != (task_count, 1):
-            raise ShapeMismatchError(
-                f"linear aggregator: weight tensor {weight.shape} for {task_count} tasks")
-    elif len(spec.weights) != task_count:
-        raise ShapeMismatchError(
-            f"linear aggregator: {len(spec.weights)} weights for {task_count} tasks")
-
-
 def aggregate_columns(
-    spec: AggregatorSpec,
+    kind: str,
     cols: Sequence[Tensor],
     weight: Tensor | None = None,
 ) -> Tensor:
-    """Apply the aggregation operator across task columns of shape (n, 1).
+    """Apply the aggregation operator ``kind`` across task columns of shape (n, 1).
 
-    ``weight`` supplies the linear kind's learnable (T, 1) tensor; when
-    omitted, ``spec.weights`` is used as a constant.
+    ``weight`` is the linear kind's (T, 1) tensor, learnable in a model; it
+    is required for linear and rejected for the other kinds, and the add kind
+    is linear with every weight fixed to 1.
     """
+    if kind not in AGGREGATOR_KINDS:
+        raise ValueError(f"unknown aggregator {kind!r}; choose from {AGGREGATOR_KINDS}")
     if not cols:
         raise ValueError("no task columns to aggregate")
-    _check_weight(spec, len(cols), weight)
-    g = cols[0].graph
-    if spec.kind == "mul":
+    if (weight is not None) != (kind == "linear"):
+        raise ValueError("a weight tensor is required for linear and rejected otherwise")
+    if kind == "mul":
         out = cols[0]
         for c in cols[1:]:
             out = fn.mul_elem(out, c)
         return out
-    if spec.kind == "add":
+    if kind == "add":
         out = cols[0]
         for c in cols[1:]:
             out = fn.add(out, c)
         return out
-    if spec.kind == "max":
+    if kind == "max":
         return fn.max_rows(fn.concat_cols(cols))
-    if weight is None:
-        weight = g.constant(np.asarray(spec.weights).reshape(-1, 1))
+    if weight.shape != (len(cols), 1):
+        raise ShapeMismatchError(
+            f"linear aggregator: weight tensor {weight.shape} for {len(cols)} tasks")
     return fn.matmul(fn.concat_cols(cols), weight)
 
 
 def aggregate_predictions(
-    spec: AggregatorSpec,
+    kind: str,
     l_hat: Tensor,
     weight: Tensor | None = None,
 ) -> Tensor:
@@ -119,7 +93,7 @@ def aggregate_predictions(
     if l_hat.cols != 1:
         raise ShapeMismatchError(f"expected a (T, 1) probability tensor, got {l_hat.shape}")
     rows = [fn.gather_rows(l_hat, [t]) for t in range(l_hat.rows)]
-    return aggregate_columns(spec, rows, weight=weight)
+    return aggregate_columns(kind, rows, weight)
 
 
 def aggregate_labels(labels: LabelSequence | Sequence[int]) -> int:

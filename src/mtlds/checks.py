@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregate import AggregatorSpec, LabelSequence, aggregate_predictions, label_permutation
+from .aggregate import LabelSequence, aggregate_predictions, label_permutation
 from .data import FieldSpec, Impression, Sample, Schema
 from .gradcore import Graph, Tensor, fn, grad_check
 from .model import MODEL_KINDS, ModelConfig, SharedBottomModel
@@ -62,7 +62,7 @@ def _away_from(rng: np.random.Generator, shape: tuple[int, int],
 def _weighted_sum(out: Tensor, rng: np.random.Generator) -> Tensor:
     """Contract an op output to a scalar with a random constant so the
     gradient through every output entry is exercised."""
-    c = out.graph.constant(rng.standard_normal(out.shape))
+    c = out.graph.tensor(rng.standard_normal(out.shape))
     return fn.sum_all(fn.mul_elem(c, out))
 
 
@@ -72,10 +72,10 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
     k42 = rng.standard_normal((4, 2))
     idx = tuple(int(i) for i in rng.integers(0, 3, size=5))  # repeats exercise scatter-add
     return {
-        "add": (lambda x: fn.add(x, x.graph.constant(k34)), rng.standard_normal((3, 4))),
-        "sub": (lambda x: fn.sub(x, x.graph.constant(k34)), rng.standard_normal((3, 4))),
-        "mul_elem": (lambda x: fn.mul_elem(x, x.graph.constant(k34)), rng.standard_normal((3, 4))),
-        "matmul": (lambda x: fn.matmul(x, x.graph.constant(k42)), rng.standard_normal((3, 4))),
+        "add": (lambda x: fn.add(x, x.graph.tensor(k34)), rng.standard_normal((3, 4))),
+        "sub": (lambda x: fn.sub(x, x.graph.tensor(k34)), rng.standard_normal((3, 4))),
+        "mul_elem": (lambda x: fn.mul_elem(x, x.graph.tensor(k34)), rng.standard_normal((3, 4))),
+        "matmul": (lambda x: fn.matmul(x, x.graph.tensor(k42)), rng.standard_normal((3, 4))),
         "scale": (lambda x: fn.scale(x, -1.7), rng.standard_normal((3, 4))),
         "neg": (lambda x: fn.neg(x), rng.standard_normal((3, 4))),
         "abs": (lambda x: fn.abs_(x), _away_from(rng, (3, 4), [0.0])),
@@ -89,7 +89,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
         "broadcast_row": (lambda x: fn.broadcast_row(x, 4), rng.standard_normal((3, 1))),
         "broadcast_col": (lambda x: fn.broadcast_col(x, 4), rng.standard_normal((3, 1))),
         "clip": (lambda x: fn.clip(x, -0.5, 0.5), _away_from(rng, (3, 4), [-0.5, 0.5])),
-        "concat_cols": (lambda x: fn.concat_cols([x, x.graph.constant(k34), x]),
+        "concat_cols": (lambda x: fn.concat_cols([x, x.graph.tensor(k34), x]),
                         rng.standard_normal((3, 2))),
     }
 
@@ -159,10 +159,14 @@ def check_aggregators(trials: int = 20, seed: int = 2, tol: float = 1e-5) -> lis
         worst = 0.0
         for _ in range(trials):
             t_count = int(rng.integers(2, 5))
-            spec = AggregatorSpec(kind, tuple(rng.uniform(0.5, 3.0, t_count))
-                                  if kind == "linear" else None)
+            w = rng.uniform(0.5, 3.0, (t_count, 1)) if kind == "linear" else None
             l_hat = _distinct_probs(rng, t_count)
-            worst = max(worst, grad_check(lambda t: aggregate_predictions(spec, t), l_hat))
+
+            def f(t: Tensor, w_=w) -> Tensor:
+                weight = None if w_ is None else t.graph.tensor(w_)
+                return aggregate_predictions(kind, t, weight)
+
+            worst = max(worst, grad_check(f, l_hat))
         results.append(CheckResult(f"aggregate:{kind}", worst, tol))
     return results
 

@@ -19,12 +19,13 @@ import click
 import numpy as np
 import yaml
 
-from .aggregate import AggregatorSpec, aggregate_predictions
+from .aggregate import aggregate_predictions
 from .checks import run_all_checks
 from .data import (
     Dataset,
     DatasetFormatError,
     SynthConfig,
+    atomic_open,
     load_dataset,
     split,
     synthesize,
@@ -33,6 +34,7 @@ from .data import (
 from .evaluation import MetricReport, UndefinedMetricError
 from .gradcore import Graph, corrupted_vjp
 from .model import (
+    GAINS,
     DivergenceError,
     ModelConfig,
     config_from_dict,
@@ -40,6 +42,7 @@ from .model import (
     evaluate_model,
     fit,
     load_checkpoint,
+    rank_by_task,
     save_checkpoint,
 )
 
@@ -71,6 +74,9 @@ class ExperimentConfig:
             raise ConfigError(f"seed list has repeats: {list(self.seeds)}")
         if not self.cutoffs or any(k < 1 for k in self.cutoffs):
             raise ConfigError(f"cutoffs must be positive integers, got {self.cutoffs}")
+        if self.gain not in GAINS:
+            raise ConfigError(f"gain must be 'depth' or 'final', got {self.gain!r}")
+        rank_by_task(self.rank_by)  # the task name is checked once the data is loaded
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -153,11 +159,14 @@ def _resolve_out_dir(cfg: ExperimentConfig, flag_value: str | None) -> Path:
     return Path(cfg.out_dir)
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fail(message: str, code: int) -> None:
@@ -230,6 +239,7 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
         if rank_by_flag is not None:
             cfg = replace(cfg, rank_by=rank_by_flag)
         source = _load_source(cfg)
+        rank_by_task(cfg.rank_by, source.schema.tasks)
     except (ConfigError, DatasetFormatError, ValueError) as exc:
         _fail(str(exc), 2)
     out_dir = _resolve_out_dir(cfg, out_flag)
@@ -269,7 +279,7 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
         summary.append(f"seed {s}: auc={test['auc']:.4f} {ndcg_text}")
     mean_text = " ".join(f"{k}={aggregate['mean'][k]:.4f}" for k in metric_keys)
     summary.append(f"mean over {len(cfg.seeds)} seed(s): {mean_text}")
-    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    _write_text(out_dir / "summary.txt", "\n".join(summary) + "\n")
     for line in summary:
         click.echo(line)
     click.echo(f"reports under {out_dir}")
@@ -294,7 +304,7 @@ def _schema_mismatches(a, b) -> list[str]:
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--cutoffs", default="2,6,12", show_default=True)
 @click.option("--rank-by", "rank_by", default="aggregate", show_default=True)
-@click.option("--gain", default="depth", show_default=True, type=click.Choice(["depth", "final"]))
+@click.option("--gain", default="depth", show_default=True, type=click.Choice(GAINS))
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def cmd_eval(checkpoint_path: str, data_path: str, cutoffs: str, rank_by: str,
              gain: str, out_path: str | None) -> None:
@@ -306,6 +316,7 @@ def cmd_eval(checkpoint_path: str, data_path: str, cutoffs: str, rank_by: str,
         mismatches = _schema_mismatches(model.schema, ds.schema)
         if mismatches:
             raise ConfigError("checkpoint/dataset schema mismatch: " + "; ".join(mismatches))
+        rank_by_task(rank_by, ds.schema.tasks)
     except (ConfigError, DatasetFormatError, ValueError) as exc:
         _fail(str(exc), 2)
     try:
@@ -347,17 +358,14 @@ TABLE1_ROWS = ((0.9, 0.1), (0.1, 0.9), (0.3, 0.3), (0.5, 0.5))
 
 def table1_values() -> list[tuple[float, float, float, float]]:
     """Mul / Sum(1:1) / Sum(3:2) / Max scores for the four demo prediction pairs."""
-    specs = (
-        AggregatorSpec("mul"),
-        AggregatorSpec("linear", (1.0, 1.0)),
-        AggregatorSpec("linear", (3.0, 2.0)),
-        AggregatorSpec("max"),
-    )
+    columns = (("mul", None), ("linear", (1.0, 1.0)), ("linear", (3.0, 2.0)), ("max", None))
     out = []
     for p_click, p_post in TABLE1_ROWS:
         g = Graph()
-        l_hat = g.constant([p_click, p_post])
-        out.append(tuple(aggregate_predictions(spec, l_hat).item() for spec in specs))
+        l_hat = g.tensor([p_click, p_post])
+        out.append(tuple(
+            aggregate_predictions(kind, l_hat, None if w is None else g.tensor(w)).item()
+            for kind, w in columns))
     return out
 
 

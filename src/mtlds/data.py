@@ -6,24 +6,24 @@ File format (tab-separated, one sample per line, header first):
     !schema<TAB>user=<name:card|...><TAB>item=<name:card|...><TAB>dense=<k><TAB>tasks=<t1,t2,...>
     <impression_id><TAB><user ids |-sep><TAB><item ids |-sep><TAB><dense ,-sep><TAB><labels ,-sep>
 
-The dense column is empty when the schema declares dense=0.  Labels must be
-monotone non-increasing (a post-click action requires the click); ingestion
-rejects violating lines unless ``on_invalid="drop"`` downgrades them to a
-logged warning.
+The file is UTF-8.  The dense column is empty when the schema declares
+dense=0.  Ids are integers within int64.  Labels are 0 or 1 and monotone
+non-increasing (a post-click action requires the click).  Every violation
+raises, naming the line.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from pathlib import Path
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
 from .aggregate import LabelOrderError, LabelSequence, first_label_violation
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_PREFIX = "!schema"
 
@@ -125,7 +125,7 @@ def _parse_fields(text: str, what: str, line_no: int) -> tuple[FieldSpec, ...]:
 
 
 def _parse_header(line: str, line_no: int) -> Schema:
-    parts = line.rstrip("\n").split("\t")
+    parts = line.rstrip("\r\n").split("\t")
     if parts[0] != SCHEMA_PREFIX:
         raise DatasetFormatError(f"line {line_no}: expected {SCHEMA_PREFIX!r} header")
     kv = {}
@@ -157,11 +157,14 @@ def _parse_ids(text: str, count: int, what: str, line_no: int) -> tuple[int, ...
     if len(ids) != count:
         raise DatasetFormatError(
             f"line {line_no}: expected {count} {what} ids, got {len(ids)}")
+    # ids are encoded as int64; no text of 18 characters or fewer holds a larger one
+    if len(text) > 18 and not all(-2 ** 63 <= i < 2 ** 63 for i in ids):
+        raise DatasetFormatError(f"line {line_no}: {what} id outside int64 in {text!r}")
     return ids
 
 
 def _parse_line(line: str, schema: Schema, line_no: int) -> Sample:
-    parts = line.rstrip("\n").split("\t")
+    parts = line.rstrip("\r\n").split("\t")
     if len(parts) != 5:
         raise DatasetFormatError(f"line {line_no}: expected 5 tab-separated columns, got {len(parts)}")
     imp_id, user_text, item_text, dense_text, label_text = parts
@@ -184,41 +187,47 @@ def _parse_line(line: str, schema: Schema, line_no: int) -> Sample:
     if len(raw_labels) != schema.task_count:
         raise DatasetFormatError(
             f"line {line_no}: expected {schema.task_count} labels, got {len(raw_labels)}")
-    t = first_label_violation(raw_labels)
-    if t is not None:
+    try:
+        labels = LabelSequence(raw_labels)
+    except LabelOrderError:  # name the line and which rule the labels break
+        if not set(raw_labels) <= {0, 1}:
+            raise DatasetFormatError(
+                f"line {line_no}: labels must be 0 or 1, got {label_text!r}") from None
+        t = first_label_violation(raw_labels)
         raise LabelOrderError(
             f"line {line_no}: impression {imp_id!r} has label {t + 1} set "
-            f"without label {t} (pair ({t}, {t + 1}))")
-    return Sample(imp_id, user_ids, item_ids, dense, LabelSequence(raw_labels))
+            f"without label {t} (pair ({t}, {t + 1}))") from None
+    return Sample(imp_id, user_ids, item_ids, dense, labels)
 
 
-def load_dataset(path, on_invalid: str = "error") -> Dataset:
+def _decoded_lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of a binary file, which must be UTF-8."""
+    for line_no, raw in enumerate(fh, start=1):
+        try:
+            yield line_no, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(
+                f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def load_dataset(path) -> Dataset:
     """Read a dataset file, grouping samples by impression id in file order;
-    the lines of one impression must be adjacent.
-
-    ``on_invalid="drop"`` discards samples with non-monotone labels with a
-    warning instead of raising (for dirty real logs); format errors always
-    raise.
+    the lines of one impression must be adjacent.  A fault in the file raises
+    :class:`DatasetFormatError`, or :class:`LabelOrderError` for labels out of
+    order, naming the line.
     """
-    if on_invalid not in ("error", "drop"):
-        raise ValueError(f"on_invalid must be 'error' or 'drop', got {on_invalid!r}")
     groups: dict[str, list[Sample]] = {}
     current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
+    with open(path, "rb") as fh:
+        lines = _decoded_lines(fh)
+        header = next(lines, None)
+        if header is None:
             raise DatasetFormatError("empty file: missing schema header")
-        schema = _parse_header(header, 1)
-        for line_no, line in enumerate(fh, start=2):
+        schema = _parse_header(header[1], 1)
+        for line_no, line in lines:
             if not line.strip():
                 continue
-            try:
-                sample = _parse_line(line, schema, line_no)
-            except LabelOrderError as exc:
-                if on_invalid == "drop":
-                    logger.warning("dropping sample: %s", exc)
-                    continue
-                raise
+            sample = _parse_line(line, schema, line_no)
             if sample.impression_id != current and sample.impression_id in groups:
                 raise DatasetFormatError(
                     f"line {line_no}: impression {sample.impression_id!r} reappears after "
@@ -228,6 +237,21 @@ def load_dataset(path, on_invalid: str = "error") -> Dataset:
     impressions = tuple(Impression(imp_id, tuple(samples))
                         for imp_id, samples in groups.items())
     return Dataset(schema=schema, impressions=impressions)
+
+
+@contextmanager
+def atomic_open(path) -> Iterator[BinaryIO]:
+    """Binary handle on a temporary file next to ``path`` that replaces
+    ``path`` (``os.replace``) when the block exits cleanly; an exception
+    part-way removes it and leaves ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _format_fields(fields: tuple[FieldSpec, ...]) -> str:

@@ -93,14 +93,11 @@ def evaluate_ranking(
     impression_gains: Sequence[np.ndarray],
     final_labels: Sequence[np.ndarray],
     cutoffs: Sequence[int],
-    grouped_auc: bool = False,
 ) -> MetricReport:
     """Metrics over a list of impressions.
 
-    AUC of the final task is computed globally over all samples (the default)
-    or, with ``grouped_auc``, per impression and averaged over impressions
-    where it is defined.  NDCG is always per impression, skipping impressions
-    whose gains are all zero.
+    AUC of the final task is computed globally over all samples.  NDCG is per
+    impression, skipping impressions whose gains are all zero.
     """
     if not impression_scores:
         raise ValueError("no impressions to evaluate")
@@ -115,20 +112,8 @@ def evaluate_ranking(
     if ndcg_count == 0:
         raise UndefinedMetricError("NDCG undefined: every impression has all-zero gains")
 
-    if grouped_auc:
-        vals = []
-        for s, y in zip(impression_scores, final_labels):
-            y = np.asarray(y)
-            if 0 < y.sum() < y.size:
-                vals.append(auc(s, y))
-        if not vals:
-            raise UndefinedMetricError("grouped AUC undefined: no two-class impression")
-        auc_value = float(np.mean(vals))
-    else:
-        auc_value = auc(np.concatenate(impression_scores), np.concatenate(final_labels))
-
     return MetricReport(
-        auc=auc_value,
+        auc=auc(np.concatenate(impression_scores), np.concatenate(final_labels)),
         ndcg_at={k: ndcg_sums[k] / ndcg_count for k in cutoffs},
         impressions=len(impression_scores),
     )

@@ -8,6 +8,9 @@ import numpy as np
 
 from .tensor import ShapeMismatchError
 
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -28,10 +31,9 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
 ) -> list[np.ndarray]:
-    """One bias-corrected Adam update; returns new parameter arrays.
+    """One bias-corrected Adam update with moment decays ``BETAS`` and
+    denominator offset ``EPS``; returns new parameter arrays.
 
     ``state`` is advanced in place.  Params and grads must align in count and
     shape.
@@ -43,7 +45,7 @@ def adam_step(
         if p.shape != g.shape:
             raise ShapeMismatchError(f"adam_step: param shape {p.shape} vs grad shape {g.shape}")
 
-    b1, b2 = betas
+    b1, b2 = BETAS
     state.step += 1
     t = state.step
     out = []
@@ -52,5 +54,5 @@ def adam_step(
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
         m_hat = state.m[i] / (1.0 - b1 ** t)
         v_hat = state.v[i] / (1.0 - b2 ** t)
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        out.append(p - lr * m_hat / (np.sqrt(v_hat) + EPS))
     return out

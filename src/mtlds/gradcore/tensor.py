@@ -48,13 +48,12 @@ def as_matrix(values) -> np.ndarray:
 class Tensor:
     """Immutable 2-D value registered on a computation graph."""
 
-    __slots__ = ("graph", "node_id", "data", "requires_grad")
+    __slots__ = ("graph", "node_id", "data")
 
-    def __init__(self, graph: "Graph", node_id: int, data: np.ndarray, requires_grad: bool):
+    def __init__(self, graph: "Graph", node_id: int, data: np.ndarray):
         self.graph = graph
         self.node_id = node_id
         self.data = data
-        self.requires_grad = requires_grad
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -77,11 +76,6 @@ class Tensor:
         if self.shape != (1, 1):
             raise ShapeMismatchError(f"item() needs a (1, 1) tensor, got {self.shape}")
         return float(self.data[0, 0])
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        """Gradient from the most recent backward pass, if this node received one."""
-        return self.graph.gradients.get(self.node_id)
 
     def __repr__(self) -> str:
         op = self.graph.node_op(self.node_id)
@@ -338,7 +332,6 @@ class Graph:
 
     def __init__(self) -> None:
         self._nodes: list[_Node] = []
-        self.gradients: dict[int, np.ndarray] = {}
         self._nodes_at_backward: int | None = None
 
     def __len__(self) -> int:
@@ -352,20 +345,16 @@ class Graph:
         return [self._nodes[n.parents[0]].value for n in self._nodes if n.op == op_tag]
 
     def _register(self, op: str, parents: tuple[int, ...], value: np.ndarray,
-                  attrs: dict, requires_grad: bool) -> Tensor:
+                  attrs: dict) -> Tensor:
         value = np.ascontiguousarray(value, dtype=np.float64)
         value.flags.writeable = False
         node_id = len(self._nodes)
         self._nodes.append(_Node(op, parents, value, attrs))
-        return Tensor(self, node_id, value, requires_grad)
+        return Tensor(self, node_id, value)
 
-    def tensor(self, values, requires_grad: bool = False) -> Tensor:
+    def tensor(self, values) -> Tensor:
         """Register a leaf tensor holding a copy of ``values``."""
-        return self._register("leaf", (), as_matrix(values).copy(), {}, requires_grad)
-
-    def constant(self, values) -> Tensor:
-        """Leaf tensor that never receives parameter updates."""
-        return self.tensor(values, requires_grad=False)
+        return self._register("leaf", (), as_matrix(values).copy(), {})
 
     def apply(self, op_tag: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
         """Run one registry operation forward and record it on the tape."""
@@ -379,15 +368,14 @@ class Graph:
             if t.graph is not self:
                 raise GraphStateError(f"{op_tag}: input tensor belongs to a different graph")
         out = opdef.forward([t.data for t in inputs], attrs)
-        requires_grad = any(t.requires_grad for t in inputs)
-        return self._register(op_tag, tuple(t.node_id for t in inputs), out, attrs, requires_grad)
+        return self._register(op_tag, tuple(t.node_id for t in inputs), out, attrs)
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
         """Populate gradients for every ancestor of ``loss``.
 
         The seed gradient at the loss node is 1.  Returns the node_id to
-        gradient map (also stored as ``self.gradients``).  Calling backward a
-        second time without recording new nodes is an error.
+        gradient map.  Calling backward a second time without recording new
+        nodes is an error.
         """
         if loss.graph is not self:
             raise GraphStateError("loss tensor belongs to a different graph")
@@ -416,5 +404,4 @@ class Graph:
                         f"{self._nodes[pid].value.shape}")
                 acc = grads.get(pid)
                 grads[pid] = pg if acc is None else acc + pg
-        self.gradients = grads
         return grads

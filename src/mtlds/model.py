@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregate import AggregatorSpec, aggregate_columns, aggregate_labels, label_permutation
-from .data import Dataset, FieldSpec, Impression, Sample, Schema, batch_impressions
-from .evaluation import MetricReport, evaluate_ranking
+from .aggregate import AGGREGATOR_KINDS, aggregate_columns, aggregate_labels, label_permutation
+from .data import Dataset, FieldSpec, Impression, Sample, Schema, atomic_open, batch_impressions
+from .evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
 from .gradcore import AdamState, Graph, Tensor, adam_step, fn
 from .sortops import (
     bce_loss,
@@ -43,8 +43,13 @@ MODEL_KINDS = (
     "dnn_pairwise",
     "dnn_diffsort",
 )
+# kinds with one tower per task, aggregated for the listwise loss and for ranking
+AGGREGATED_KINDS = ("mtlds", "mtl_listnet")
 TASK_LOSSES = {"bce": bce_loss, "ranknet": ranknet_loss}
+GAINS = ("depth", "final")
 VALIDATION_CUTOFF = 6
+# impressions per graph when scoring; bounds the tape's memory
+SCORE_CHUNK = 512
 
 CHECKPOINT_MAGIC = b"MTLDS1\n"
 
@@ -80,6 +85,9 @@ class ModelConfig:
         for l in losses:
             if l not in TASK_LOSSES:
                 raise ValueError(f"unknown task loss {l!r}; choose from {tuple(TASK_LOSSES)}")
+        if self.aggregator not in AGGREGATOR_KINDS:
+            raise ValueError(
+                f"unknown aggregator {self.aggregator!r}; choose from {AGGREGATOR_KINDS}")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -145,18 +153,12 @@ class SharedBottomModel:
         self.config = config
         self.tower_count = self._tower_count(config.kind, schema.task_count)
         self.task_losses = self._resolve_task_losses(config, self.tower_count)
-        if config.kind in ("mtlds", "mtl_listnet"):
-            weights = tuple(1.0 for _ in range(self.tower_count)) \
-                if config.aggregator == "linear" else None
-            self.aggregator = AggregatorSpec(config.aggregator, weights)
-        else:
-            self.aggregator = None
         self.params: dict[str, np.ndarray] = {}
         self._init_params()
 
     @staticmethod
     def _tower_count(kind: str, task_count: int) -> int:
-        if kind in ("mtlds", "mtl_listnet"):
+        if kind in AGGREGATED_KINDS:
             return task_count
         if kind in ("esmm", "esmm_pairwise"):
             return 2
@@ -197,13 +199,12 @@ class SharedBottomModel:
             head = len(cfg.tower_layers)
             self.params[f"tower/{t}/{head}/W"] = rng.standard_normal((dim, 1)) * np.sqrt(1.0 / dim)
             self.params[f"tower/{t}/{head}/b"] = np.zeros((1, 1))
-        if self.aggregator is not None and self.aggregator.kind == "linear":
+        if cfg.kind in AGGREGATED_KINDS and cfg.aggregator == "linear":
             self.params["agg/w"] = np.ones((self.tower_count, 1))
 
     def bind(self, graph: Graph) -> dict[str, Tensor]:
         """Register every parameter as a trainable leaf on ``graph``."""
-        return {name: graph.tensor(arr, requires_grad=True)
-                for name, arr in self.params.items()}
+        return {name: graph.tensor(arr) for name, arr in self.params.items()}
 
     def task_columns(
         self,
@@ -217,7 +218,7 @@ class SharedBottomModel:
         parts = [fn.gather_rows(pt[f"emb/{spec.name}"], batch.cat_ids[spec.name])
                  for spec in self.schema.cat_fields]
         if self.schema.dense_count:
-            parts.append(graph.constant(batch.dense))
+            parts.append(graph.tensor(batch.dense))
         x = fn.concat_cols(parts)
         for i in range(len(self.config.shared_layers)):
             pre = fn.add(fn.matmul(x, pt[f"shared/{i}/W"]),
@@ -293,11 +294,6 @@ class SharedBottomModel:
         assert total is not None
         return total
 
-    def _aggregate_column(self, cols: list[Tensor],
-                          params_t: dict[str, Tensor]) -> Tensor:
-        weight = params_t.get("agg/w") if self.aggregator.kind == "linear" else None
-        return aggregate_columns(self.aggregator, cols, weight=weight)
-
     def loss_components(
         self,
         graph: Graph,
@@ -306,14 +302,14 @@ class SharedBottomModel:
     ) -> tuple[list[Tensor], Tensor]:
         """Per-task loss tensors and the batch-mean listwise loss of an
         mtlds/mtl_listnet model, which ``batch_loss`` sums."""
-        if self.aggregator is None:
+        if self.config.kind not in AGGREGATED_KINDS:
             raise ValueError(f"loss_components applies to mtlds/mtl_listnet, not {self.config.kind}")
         cols, labels, spans, pt = self._columns_and_labels(graph, impressions, params_t)
         task_terms = [TASK_LOSSES[kind](cols[t], labels[:, t], spans)
                       for t, kind in enumerate(self.task_losses)]
-        listwise = self._listwise_losses(
-            self._aggregate_column(cols, pt), labels.sum(axis=1), spans,
-            use_listnet=self.config.kind == "mtl_listnet")
+        agg_col = aggregate_columns(self.config.aggregator, cols, pt.get("agg/w"))
+        listwise = self._listwise_losses(agg_col, labels.sum(axis=1), spans,
+                                         use_listnet=self.config.kind == "mtl_listnet")
         return task_terms, fn.scale(listwise, 1.0 / len(spans))
 
     def batch_loss(
@@ -333,7 +329,7 @@ class SharedBottomModel:
         dnn_pairwise: pairwise logistic loss on the combined (summed) label;
         dnn_diffsort: the sorting loss on the combined label's permutation.
         """
-        if self.aggregator is not None:
+        if self.config.kind in AGGREGATED_KINDS:
             task_terms, listwise = self.loss_components(graph, impressions, params_t)
             return fn.add(reduce(fn.add, task_terms),
                           fn.scale(listwise, self.config.sort_loss_weight))
@@ -356,31 +352,26 @@ class SharedBottomModel:
 
     def _score_column(self, cols: list[Tensor], rank_by: str,
                       params_t: dict[str, Tensor]) -> Tensor:
-        if rank_by == "aggregate":
-            if self.aggregator is not None:
-                return self._aggregate_column(cols, params_t)
+        task = rank_by_task(rank_by, self.schema.tasks)
+        if task is None:
+            if self.config.kind in AGGREGATED_KINDS:
+                return aggregate_columns(self.config.aggregator, cols, params_t.get("agg/w"))
             if len(cols) == 2:  # esmm kinds: the click * conversion product
                 return fn.mul_elem(cols[0], cols[1])
             return cols[0]
-        if rank_by.startswith("task:"):
-            name = rank_by.split(":", 1)[1]
-            if self.tower_count == 1:
-                return cols[0]
-            if name not in self.schema.tasks:
-                raise ValueError(f"unknown task {name!r}; schema has {self.schema.tasks}")
-            return cols[self.schema.tasks.index(name)]
-        raise ValueError(f"rank_by must be 'aggregate' or 'task:<name>', got {rank_by!r}")
+        if self.tower_count == 1:
+            return cols[0]
+        return cols[self.schema.tasks.index(task)]
 
     def ranking_scores(
         self,
         impressions: Sequence[Impression],
         rank_by: str = "aggregate",
-        chunk: int = 512,
     ) -> list[np.ndarray]:
         """Per-impression score vectors used for ranking at evaluation time."""
         out: list[np.ndarray] = []
-        for start in range(0, len(impressions), chunk):
-            part = impressions[start:start + chunk]
+        for start in range(0, len(impressions), SCORE_CHUNK):
+            part = impressions[start:start + SCORE_CHUNK]
             samples, spans = self._flatten(part)
             graph = Graph()
             pt = self.bind(graph)
@@ -390,20 +381,35 @@ class SharedBottomModel:
         return out
 
 
+def rank_by_task(rank_by: str, tasks: Sequence[str] | None = None) -> str | None:
+    """The task named by ``rank_by="task:<name>"``, or None for ``"aggregate"``.
+
+    Raises ValueError for any other value, and for a name not in ``tasks``
+    when they are given.
+    """
+    if rank_by == "aggregate":
+        return None
+    if not rank_by.startswith("task:"):
+        raise ValueError(f"rank_by must be 'aggregate' or 'task:<name>', got {rank_by!r}")
+    name = rank_by[len("task:"):]
+    if tasks is not None and name not in tasks:
+        raise ValueError(f"unknown task {name!r}; schema has {tuple(tasks)}")
+    return name
+
+
 def evaluate_model(
     model: SharedBottomModel,
     ds: Dataset,
     cutoffs: Sequence[int] = (2, 6, 12),
     rank_by: str = "aggregate",
     gain: str = "depth",
-    grouped_auc: bool = False,
 ) -> MetricReport:
     """AUC of final-task prediction plus per-impression NDCG at each cutoff.
 
     ``gain="depth"`` scores each item by its behavior depth (summed labels);
     ``gain="final"`` uses the binary final-task label only.
     """
-    if gain not in ("depth", "final"):
+    if gain not in GAINS:
         raise ValueError(f"gain must be 'depth' or 'final', got {gain!r}")
     scores = model.ranking_scores(ds.impressions, rank_by=rank_by)
     gains = []
@@ -414,7 +420,7 @@ def evaluate_model(
         else:
             gains.append(np.array([s.labels.labels[-1] for s in imp.samples]))
         finals.append(np.array([s.labels.labels[-1] for s in imp.samples]))
-    return evaluate_ranking(scores, gains, finals, cutoffs, grouped_auc=grouped_auc)
+    return evaluate_ranking(scores, gains, finals, cutoffs)
 
 
 # ------------------------------------------------------------------- training
@@ -449,11 +455,16 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
 
     Deterministic given the config seed: initialization, batch order, and the
     synthetic data pipeline all derive from declared seeds.  Raises
-    :class:`DivergenceError` naming the epoch and batch if the loss goes
-    non-finite.
+    :class:`UndefinedMetricError` before training when the validation AUC is
+    undefined, and :class:`DivergenceError` naming the epoch and batch if the
+    loss goes non-finite.
     """
     if not train.impressions or not valid.impressions:
         raise ValueError("train and valid datasets must be non-empty")
+    positives = sum(s.labels.labels[-1] for s in valid.iter_samples())
+    if positives in (0, valid.sample_count):
+        raise UndefinedMetricError(
+            f"validation AUC undefined: {positives} of {valid.sample_count} final labels positive")
     model = SharedBottomModel(train.schema, config)
     names = list(model.params)
     state = AdamState.for_params([model.params[n] for n in names])
@@ -522,7 +533,8 @@ def _schema_from_dict(d: dict) -> Schema:
 
 
 def save_checkpoint(model: SharedBottomModel, path) -> None:
-    """Versioned header, JSON manifest of shapes, then raw float64 grids."""
+    """Versioned header, JSON manifest of shapes, then raw float64 grids,
+    written atomically (see ``atomic_open``)."""
     manifest = {
         "version": 1,
         "config": config_to_dict(model.config),
@@ -530,7 +542,7 @@ def save_checkpoint(model: SharedBottomModel, path) -> None:
         "params": [[name, *model.params[name].shape] for name in model.params],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)

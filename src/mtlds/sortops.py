@@ -109,12 +109,12 @@ def sort_loss(p_hat: Tensor, p: np.ndarray) -> Tensor:
     if p_hat.shape != (n, n) or p.shape != (n, n):
         raise ShapeMismatchError(f"sort_loss: sizes differ (P_hat {p_hat.shape}, P {p.shape})")
     g = p_hat.graph
-    p_const = g.constant(p)
-    p_comp = g.constant(1.0 - p)
-    w_col = g.constant(ndcg_position_weights(n).reshape(-1, 1))
+    p_const = g.tensor(p)
+    p_comp = g.tensor(1.0 - p)
+    w_col = g.tensor(ndcg_position_weights(n).reshape(-1, 1))
 
     clipped = fn.clip(p_hat, PROB_EPS, 1.0 - PROB_EPS)
-    comp = fn.clip(fn.sub(g.constant(np.ones((n, n))), p_hat), PROB_EPS, 1.0)
+    comp = fn.clip(fn.sub(g.tensor(np.ones((n, n))), p_hat), PROB_EPS, 1.0)
     per_entry = fn.add(
         fn.mul_elem(p_const, fn.log(clipped)),
         fn.mul_elem(p_comp, fn.log(comp)),
@@ -136,11 +136,11 @@ def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
     for a, b in spans:
         weights[a:b] = 1.0 / ((b - a) * len(spans))
     g = p.graph
-    y_const = g.constant(yv)
+    y_const = g.tensor(yv)
     pos = fn.mul_elem(y_const, fn.log(fn.clip(p, PROB_EPS, 1.0)))
-    neg_p = fn.clip(fn.sub(g.constant(np.ones((p.rows, 1))), p), PROB_EPS, 1.0)
-    neg = fn.mul_elem(g.constant(1.0 - yv), fn.log(neg_p))
-    return fn.neg(fn.sum_all(fn.mul_elem(g.constant(weights), fn.add(pos, neg))))
+    neg_p = fn.clip(fn.sub(g.tensor(np.ones((p.rows, 1))), p), PROB_EPS, 1.0)
+    neg = fn.mul_elem(g.tensor(1.0 - yv), fn.log(neg_p))
+    return fn.neg(fn.sum_all(fn.mul_elem(g.tensor(weights), fn.add(pos, neg))))
 
 
 def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
@@ -167,11 +167,11 @@ def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
             weights.append(np.full(i.size, 1.0 / (i.size * len(spans))))
     g = s.graph
     if not hi:
-        return g.constant(0.0)
+        return g.tensor(0.0)
     p = fn.sigmoid(fn.sub(fn.gather_rows(s, np.concatenate(hi)),
                           fn.gather_rows(s, np.concatenate(lo))))
     losses = fn.neg(fn.log(fn.clip(p, PROB_EPS, 1.0)))
-    return fn.sum_all(fn.mul_elem(g.constant(np.concatenate(weights).reshape(-1, 1)), losses))
+    return fn.sum_all(fn.mul_elem(g.tensor(np.concatenate(weights).reshape(-1, 1)), losses))
 
 
 def listnet_loss(s: Tensor, y: Sequence[float] | np.ndarray) -> Tensor:
@@ -183,7 +183,7 @@ def listnet_loss(s: Tensor, y: Sequence[float] | np.ndarray) -> Tensor:
         raise ShapeMismatchError(f"listnet_loss: {s.rows} scores vs {yv.shape[1]} labels")
     g = s.graph
     shifted = np.exp(yv - yv.max())
-    target = g.constant(shifted / shifted.sum())
+    target = g.tensor(shifted / shifted.sum())
     s_row = fn.broadcast_row(s, 1)
     q = fn.softmax_rows(s_row)
     return fn.neg(fn.sum_all(fn.mul_elem(target, fn.log(fn.clip(q, PROB_EPS, 1.0)))))

@@ -1,11 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtlds.aggregate import (
-    AggregatorSpec,
     LabelOrderError,
     LabelSequence,
     aggregate_columns,
@@ -14,12 +13,14 @@ from mtlds.aggregate import (
     label_permutation,
 )
 from mtlds.gradcore import Graph, grad_check
+from mtlds.gradcore.tensor import ShapeMismatchError
 from mtlds.sortops import argsort_desc
 
 
 def agg(kind, probs, weights=None):
-    spec = AggregatorSpec(kind, weights)
-    return aggregate_predictions(spec, Graph().tensor(list(probs))).item()
+    g = Graph()
+    weight = None if weights is None else g.tensor(weights)
+    return aggregate_predictions(kind, g.tensor(list(probs)), weight).item()
 
 
 class TestOperatorTable:
@@ -59,23 +60,21 @@ class TestAggregatePredictions:
         assert agg("mul", (0.0, 0.7, 0.9)) == 0.0
 
     def test_weight_count_must_match_tasks(self):
-        spec = AggregatorSpec("linear", (1.0, 2.0))
-        with pytest.raises(Exception, match="weights"):
-            aggregate_predictions(spec, Graph().tensor([0.1, 0.2, 0.3]))
+        with pytest.raises(ShapeMismatchError, match="weight tensor"):
+            agg("linear", (0.1, 0.2, 0.3), (1.0, 2.0))
 
     def test_weights_only_for_linear(self):
         with pytest.raises(ValueError):
-            AggregatorSpec("mul", (1.0,))
+            agg("mul", (0.1, 0.2), (1.0, 1.0))
         with pytest.raises(ValueError):
-            AggregatorSpec("linear", None)
-        with pytest.raises(ValueError):
-            AggregatorSpec("median")
+            agg("linear", (0.1, 0.2))
+        with pytest.raises(ValueError, match="unknown aggregator"):
+            agg("median", (0.1, 0.2))
 
     def test_learnable_weight_tensor_participates(self):
         g = Graph()
-        w = g.tensor([[3.0], [2.0]], requires_grad=True)
-        spec = AggregatorSpec("linear", (1.0, 1.0))
-        out = aggregate_predictions(spec, g.tensor([0.9, 0.1]), weight=w)
+        w = g.tensor([[3.0], [2.0]])
+        out = aggregate_predictions("linear", g.tensor([0.9, 0.1]), w)
         assert out.item() == pytest.approx(2.9, rel=1e-12)
         grads = g.backward(out)
         npt.assert_allclose(grads[w.node_id], [[0.9], [0.1]])
@@ -88,8 +87,10 @@ class TestAggregatePredictions:
             probs = rng.uniform(0.1, 0.9, (3, 1))
             while np.min(np.diff(np.sort(probs.ravel()))) < 1e-2:  # keep max away from ties
                 probs = rng.uniform(0.1, 0.9, (3, 1))
-            spec = AggregatorSpec(kind, (0.5, 1.5, 2.5) if kind == "linear" else None)
-            worst = max(worst, grad_check(lambda t: aggregate_predictions(spec, t), probs))
+            w = (0.5, 1.5, 2.5) if kind == "linear" else None
+            worst = max(worst, grad_check(
+                lambda t: aggregate_predictions(kind, t, None if w is None else t.graph.tensor(w)),
+                probs))
         assert worst < 1e-5
 
     def test_batched_columns_match_per_sample(self):
@@ -97,12 +98,11 @@ class TestAggregatePredictions:
         probs = rng.uniform(0.05, 0.95, (4, 2))
         for kind, weights in [("mul", None), ("max", None), ("add", None),
                               ("linear", (2.0, 0.5))]:
-            spec = AggregatorSpec(kind, weights)
             g = Graph()
             cols = [g.tensor(probs[:, [t]]) for t in range(2)]
-            batched = aggregate_columns(spec, cols).value[:, 0]
-            single = [aggregate_predictions(spec, Graph().tensor(probs[i])).item()
-                      for i in range(4)]
+            weight = None if weights is None else g.tensor(weights)
+            batched = aggregate_columns(kind, cols, weight).value[:, 0]
+            single = [agg(kind, probs[i], weights) for i in range(4)]
             npt.assert_allclose(batched, single, atol=1e-12)
 
 
@@ -168,14 +168,18 @@ class TestLabelSequence:
         )
     )
 )
+@example(([0.0, 3.68e-291, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]))
 def test_add_and_linear_respect_elementwise_dominance(args):
+    """Never lower for dominating inputs; strictly higher only when some
+    coordinate is ahead by more than float64 can lose in the sum's last bit."""
     a, b, weights = args
     hi = [max(x, y) for x, y in zip(a, b)]
     lo = [min(x, y) for x, y in zip(a, b)]
     if hi == lo:
         return
-    for kind, w in (("add", None), ("linear", tuple(weights))):
-        spec = AggregatorSpec(kind, w)
-        s_hi = aggregate_predictions(spec, Graph().tensor(hi)).item()
-        s_lo = aggregate_predictions(spec, Graph().tensor(lo)).item()
-        assert s_hi > s_lo
+    for kind, w in (("add", None), ("linear", weights)):
+        s_hi = agg(kind, hi, w)
+        s_lo = agg(kind, lo, w)
+        assert s_hi >= s_lo
+        if any(x - y > 1e-9 for x, y in zip(hi, lo)):
+            assert s_hi > s_lo

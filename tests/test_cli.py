@@ -133,7 +133,29 @@ class TestTrain:
         assert not (tmp_path / "flag-out").exists()
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A checkpoint trained on the default test config and the data file it was drawn from."""
+    tmp_path = tmp_path_factory.mktemp("ckpt")
+    config = write_config(tmp_path)
+    data_path = tmp_path / "data.tsv"
+    assert runner.invoke(main, ["synth", "--config", str(config), "--out", str(data_path)]).exit_code == 0
+    assert runner.invoke(main, ["train", "--config", str(config)]).exit_code == 0
+    return tmp_path / "runs" / "seed1" / "checkpoint.bin", data_path
+
+
 class TestEval:
+    @pytest.mark.parametrize("rank_by,message", [
+        ("bogus", "rank_by must be 'aggregate' or 'task:<name>'"),
+        ("task:nope", "unknown task 'nope'"),
+    ])
+    def test_bad_rank_by_exits_2(self, trained, rank_by, message):
+        ckpt, data_path = trained
+        result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--data", str(data_path),
+                                      "--rank-by", rank_by])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
     def test_eval_checkpoint_on_written_dataset(self, tmp_path):
         config = write_config(tmp_path)
         data_path = tmp_path / "data.tsv"
@@ -169,15 +191,6 @@ class TestEval:
 
 class TestEvalCheckpointErrors:
     """Each fault in a checkpoint file exits 2 with a named message, never a traceback."""
-
-    @pytest.fixture(scope="class")
-    def trained(self, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("ckpt")
-        config = write_config(tmp_path)
-        data_path = tmp_path / "data.tsv"
-        assert runner.invoke(main, ["synth", "--config", str(config), "--out", str(data_path)]).exit_code == 0
-        assert runner.invoke(main, ["train", "--config", str(config)]).exit_code == 0
-        return tmp_path / "runs" / "seed1" / "checkpoint.bin", data_path
 
     @staticmethod
     def rewrite_manifest(raw: bytes, edit) -> bytes:
@@ -269,13 +282,29 @@ class TestConfigHandling:
         ({"model": {"tau": float("inf")}}, "tau must be positive and finite"),
         ({"model": {"learning_rate": float("nan")}}, "learning_rate must be positive and finite"),
         ({"model": {"learning_rate": 0.0}}, "learning_rate must be positive and finite"),
-    ], ids=["repeated-seeds", "tau-nan", "tau-inf", "lr-nan", "lr-zero"])
+        ({"model": {"kind": "esmm", "aggregator": "bogus"}}, "unknown aggregator 'bogus'"),
+        ({"model": {"kind": "mtlds", "aggregator": "bogus"}}, "unknown aggregator 'bogus'"),
+        ({"gain": "bogus"}, "gain must be 'depth' or 'final'"),
+        ({"rank_by": "bogus"}, "rank_by must be 'aggregate' or 'task:<name>'"),
+    ], ids=["repeated-seeds", "tau-nan", "tau-inf", "lr-nan", "lr-zero", "esmm-aggregator",
+            "mtlds-aggregator", "gain", "rank-by"])
     def test_bad_config_value_exits_2(self, tmp_path, overrides, message):
         config = write_config(tmp_path, **overrides)
         result = runner.invoke(main, ["train", "--config", str(config)])
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("rank_by,message", [
+        ("bogus", "rank_by must be 'aggregate' or 'task:<name>'"),
+        ("task:nope", "unknown task 'nope'"),
+    ])
+    def test_bad_rank_by_flag_exits_2_before_training(self, tmp_path, rank_by, message):
+        config = write_config(tmp_path)
+        result = runner.invoke(main, ["train", "--config", str(config), "--rank-by", rank_by])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not list((tmp_path / "runs").glob("seed*"))
 
     def test_hash_tracks_config_changes(self, tmp_path):
         a = load_experiment_config(write_config(tmp_path, name="a.yaml"))

@@ -1,9 +1,11 @@
-import logging
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlds.aggregate import LabelOrderError, LabelSequence, first_label_violation
 from mtlds.data import (
@@ -14,6 +16,7 @@ from mtlds.data import (
     Sample,
     Schema,
     SynthConfig,
+    atomic_open,
     batch_impressions,
     load_dataset,
     project_tasks,
@@ -111,16 +114,32 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="header"):
             load_dataset(path)
 
-    def test_drop_mode_warns_and_drops(self, tmp_path, caplog):
-        path = write_lines(tmp_path, [
-            HEADER,
-            "imp0\t1\t2\t\t1,0",
-            "imp0\t1\t3\t\t0,1",
-        ])
-        with caplog.at_level(logging.WARNING):
-            ds = load_dataset(path, on_invalid="drop")
-        assert ds.sample_count == 1
-        assert any("dropping" in r.message for r in caplog.records)
+    @pytest.mark.parametrize("labels", ["2,0", "1,2", "-1,0"])
+    def test_non_binary_label_rejected_with_line(self, tmp_path, labels):
+        path = write_lines(tmp_path, [HEADER, "imp0\t1\t2\t\t1,0", f"imp0\t1\t3\t\t{labels}"])
+        with pytest.raises(DatasetFormatError, match="line 3: labels must be 0 or 1"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("user,item,what", [
+        ("99999999999999999999", "2", "user"),
+        ("1", str(2 ** 63), "item"),
+        (str(-2 ** 63 - 1), "2", "user"),
+    ])
+    def test_id_outside_int64_rejected_with_line(self, tmp_path, user, item, what):
+        path = write_lines(tmp_path, [HEADER, f"imp0\t{user}\t{item}\t\t1,0"])
+        with pytest.raises(DatasetFormatError, match=f"line 2: {what} id outside int64"):
+            load_dataset(path)
+
+    def test_int64_limits_accepted(self, tmp_path):
+        path = write_lines(tmp_path, [HEADER, f"imp0\t{-2 ** 63}\t{2 ** 63 - 1}\t\t1,0"])
+        sample = load_dataset(path).impressions[0].samples[0]
+        assert (sample.user_ids, sample.item_ids) == ((-2 ** 63,), (2 ** 63 - 1,))
+
+    def test_bytes_not_utf8_rejected_with_line(self, tmp_path):
+        path = tmp_path / "ds.tsv"
+        path.write_bytes(HEADER.encode() + b"\nimp0\t1\t2\t\t1,0\nimp\xff\t1\t3\t\t0,0\n")
+        with pytest.raises(DatasetFormatError, match="line 3: not UTF-8"):
+            load_dataset(path)
 
     def test_groups_preserve_file_order(self, tmp_path):
         path = write_lines(tmp_path, [
@@ -150,6 +169,79 @@ class TestLoadDataset:
                                       f"imp0\t1\t3\t{value},0.25\t0,0"])
         with pytest.raises(DatasetFormatError, match="line 3: non-finite dense value"):
             load_dataset(path)
+
+
+NAMES = st.text("abcxyz_", min_size=1, max_size=5)
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+# anything but the column and line separators
+IMPRESSION_IDS = st.text(st.characters(blacklist_characters="\t\n", blacklist_categories=("Cs",)),
+                         min_size=1, max_size=8)
+
+
+@st.composite
+def datasets(draw):
+    names = draw(st.lists(NAMES, max_size=4, unique=True))
+    fields = [FieldSpec(n, draw(st.integers(1, 1000))) for n in names]
+    cut = draw(st.integers(0, len(fields)))
+    tasks = tuple(draw(st.lists(st.text("pqrs", min_size=1, max_size=4),
+                                min_size=1, max_size=3, unique=True)))
+    schema = Schema(tuple(fields[:cut]), tuple(fields[cut:]), draw(st.integers(0, 3)), tasks)
+    impressions = []
+    for imp_id in draw(st.lists(IMPRESSION_IDS, max_size=4, unique=True)):
+        samples = []
+        for _ in range(draw(st.integers(1, 3))):
+            depth = draw(st.integers(0, len(tasks)))
+            samples.append(Sample(
+                imp_id,
+                tuple(draw(INT64) for _ in schema.user_fields),
+                tuple(draw(INT64) for _ in schema.item_fields),
+                tuple(draw(st.floats(allow_nan=False, allow_infinity=False))
+                      for _ in range(schema.dense_count)),
+                LabelSequence(tuple(int(t < depth) for t in range(len(tasks)))),
+            ))
+        impressions.append(Impression(imp_id, tuple(samples)))
+    return Dataset(schema, tuple(impressions))
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets())
+def test_write_then_load_is_identity(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.tsv"
+        write_dataset(ds, path)
+        assert load_dataset(path) == ds
+
+
+# lines near the format (columns of ids, floats and labels) as well as arbitrary bytes
+NEAR_LINES = st.text("0129-|,.\tex \r\u00e9", max_size=30).map(lambda t: t.encode("utf-8"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(NEAR_LINES, st.binary(max_size=30)), max_size=6))
+def test_parser_raises_only_format_errors(lines):
+    header = b"!schema\tuser=user_id:4\titem=item_id:6|shop:3\tdense=1\ttasks=click,purchase\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.tsv"
+        path.write_bytes(header + b"\n".join(lines))
+        try:
+            load_dataset(path)
+        except (DatasetFormatError, LabelOrderError):
+            pass
+
+
+def test_atomic_open_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"previous")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write(b"half of the new")
+            raise RuntimeError("failed part-way")
+    assert path.read_bytes() == b"previous"
+    assert list(tmp_path.iterdir()) == [path]
+    with atomic_open(path) as fh:
+        fh.write(b"new")
+    assert path.read_bytes() == b"new"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSchema:

@@ -125,13 +125,6 @@ class TestEvaluateRanking:
         assert report.auc == pytest.approx(
             auc([0.9, 0.1, 0.8, 0.4], [1, 0, 0, 0]))
 
-    def test_grouped_auc_averages_defined_impressions(self):
-        scores = [np.array([0.9, 0.1]), np.array([0.2, 0.4]), np.array([0.5, 0.6])]
-        gains = [np.array([1, 0])] * 3
-        finals = [np.array([1, 0]), np.array([1, 0]), np.array([0, 0])]
-        report = evaluate_ranking(scores, gains, finals, (2,), grouped_auc=True)
-        assert report.auc == pytest.approx((1.0 + 0.0) / 2.0)
-
     def test_oracle_scores_reach_perfect_ndcg(self):
         rng = np.random.default_rng(4)
         gains = [rng.integers(0, 3, 6) for _ in range(10)]

@@ -26,7 +26,7 @@ class TestForward:
     def test_matmul_identity(self):
         g = Graph()
         x = g.tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = fn.matmul(g.constant(np.eye(2)), x)
+        out = fn.matmul(g.tensor(np.eye(2)), x)
         npt.assert_allclose(out.value, x.value)
 
     def test_sigmoid_at_zero(self):
@@ -92,32 +92,32 @@ class TestForward:
 class TestBackward:
     def test_sum_all_gradient_is_ones(self):
         g = Graph()
-        x = g.tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        x = g.tensor(np.arange(4.0).reshape(2, 2))
         grads = g.backward(fn.sum_all(x))
         npt.assert_allclose(grads[x.node_id], np.ones((2, 2)))
 
     def test_square_gradient(self):
         g = Graph()
-        x = g.tensor([[3.0]], requires_grad=True)
+        x = g.tensor([[3.0]])
         grads = g.backward(fn.sum_all(fn.mul_elem(x, x)))
         npt.assert_allclose(grads[x.node_id], [[6.0]])
 
     def test_seed_gradient_is_one(self):
         g = Graph()
-        x = g.tensor([[5.0]], requires_grad=True)
+        x = g.tensor([[5.0]])
         loss = fn.scale(x, 3.0)
         grads = g.backward(loss)
         npt.assert_allclose(grads[loss.node_id], [[1.0]])
 
     def test_non_scalar_loss_rejected(self):
         g = Graph()
-        x = g.tensor(np.zeros((2, 2)), requires_grad=True)
+        x = g.tensor(np.zeros((2, 2)))
         with pytest.raises(ShapeMismatchError, match="scalar"):
             g.backward(fn.relu(x))
 
     def test_backward_twice_without_new_forward(self):
         g = Graph()
-        x = g.tensor([[1.0]], requires_grad=True)
+        x = g.tensor([[1.0]])
         loss = fn.sum_all(x)
         g.backward(loss)
         with pytest.raises(GraphStateError, match="twice"):
@@ -129,8 +129,8 @@ class TestBackward:
     def test_all_ancestors_get_gradients_with_matching_shapes(self):
         rng = np.random.default_rng(1)
         g = Graph()
-        x = g.tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        w = g.tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        x = g.tensor(rng.standard_normal((3, 2)))
+        w = g.tensor(rng.standard_normal((2, 4)))
         h = fn.relu(fn.matmul(x, w))
         loss = fn.sum_all(fn.softmax_rows(h))
         grads = g.backward(loss)
@@ -139,7 +139,7 @@ class TestBackward:
 
     def test_gather_rows_accumulates_repeated_indices(self):
         g = Graph()
-        x = g.tensor([[1.0], [2.0]], requires_grad=True)
+        x = g.tensor([[1.0], [2.0]])
         grads = g.backward(fn.sum_all(fn.gather_rows(x, [0, 0, 1])))
         npt.assert_allclose(grads[x.node_id], [[2.0], [1.0]])
 
@@ -168,10 +168,6 @@ class TestGradCheck:
             assert grad_check(f, x) > 1e-3
         assert grad_check(f, x) < 1e-8
 
-    def test_requires_positive_eps(self):
-        with pytest.raises(ValueError):
-            grad_check(lambda t: fn.sum_all(t), [[1.0]], eps=0.0)
-
 
 class TestConcatCols:
     def test_concat_matches_numpy(self):
@@ -191,9 +187,9 @@ class TestConcatCols:
         weights = rng.standard_normal((2, 5))
 
         def f(t):
-            other = t.graph.constant(np.ones((2, 3)))
+            other = t.graph.tensor(np.ones((2, 3)))
             return fn.sum_all(fn.mul_elem(concat_cols([t, other]),
-                                          t.graph.constant(weights)))
+                                          t.graph.tensor(weights)))
 
         x = rng.standard_normal((2, 2))
         assert grad_check(f, x) < 1e-6

@@ -4,6 +4,7 @@ import pytest
 
 from mtlds.aggregate import LabelSequence
 from mtlds.data import FieldSpec, Impression, Sample, Schema, SynthConfig, split, synthesize
+from mtlds.evaluation import UndefinedMetricError
 from mtlds.gradcore import Graph
 from mtlds.model import (
     MODEL_KINDS,
@@ -413,11 +414,24 @@ class TestFit:
         def nan_loss(self, graph, impressions, params_t=None):
             if params_t is None:
                 params_t = self.bind(graph)
-            return graph.constant(float("nan"))
+            return graph.tensor(float("nan"))
 
         monkeypatch.setattr(SharedBottomModel, "batch_loss", nan_loss)
         with pytest.raises(DivergenceError, match="epoch 1, batch 0"):
             fit(small_config(epochs=1), tr, va)
+
+    @pytest.mark.parametrize("biases", [(-0.5, -60.0), (60.0, 50.0)], ids=["no-positive", "no-negative"])
+    def test_single_class_validation_rejected_before_training(self, datasets, monkeypatch, biases):
+        tr, _, _ = datasets
+        valid = synthesize(SynthConfig(impressions=8, users=8, items=24, list_size=4,
+                                       noise=0.0, biases=biases))
+
+        def no_batches(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("mtlds.model.batch_impressions", no_batches)
+        with pytest.raises(UndefinedMetricError, match="validation AUC undefined"):
+            fit(small_config(epochs=1), tr, valid)
 
     def test_training_reduces_loss(self, datasets):
         tr, va, _ = datasets
@@ -480,6 +494,24 @@ class TestCheckpoint:
         for x, y in zip(a, b):
             npt.assert_array_equal(x, y)
 
+    def test_failed_write_leaves_previous_checkpoint(self, tmp_path):
+        model = SharedBottomModel(tiny_schema(), small_config())
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+
+        class Unwritable:  # the last grid fails after the header and the other grids
+            shape = (2, 1)
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("no space left on device")
+
+        model.params["agg/w"] = Unwritable()
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint")
@@ -497,5 +529,8 @@ class TestConfigSerialization:
             ModelConfig(kind="transformer")
         with pytest.raises(ValueError, match="unknown task loss"):
             ModelConfig(task_loss="hinge")
+        for kind in MODEL_KINDS:
+            with pytest.raises(ValueError, match="unknown aggregator 'bogus'"):
+                ModelConfig(kind=kind, aggregator="bogus")
         with pytest.raises(ValueError, match="tau"):
             ModelConfig(tau=-1.0)
