@@ -5,7 +5,7 @@ Library layout:
 * ``gradcore``    reverse-mode autodiff over dense 2-D tensors
 * ``sortops``     permutations, the SoftSort relaxation, ranking losses
 * ``aggregate``   prediction/label aggregation operators
-* ``data``        dataset format, validation, batching, synthetic generator
+* ``data``        dataset format, validation, label matrix, batching, synthetic generator
 * ``model``       shared-bottom multi-task network, baselines, training
 * ``evaluation``  AUC and NDCG@k metrics
 * ``checks``      gradient-check and property suite
@@ -13,7 +13,8 @@ Library layout:
 """
 
 from .aggregate import LabelSequence, aggregate_columns, aggregate_labels, aggregate_predictions
-from .data import Dataset, Impression, Sample, Schema, SynthConfig, load_dataset, synthesize
+from .data import (Dataset, Impression, Sample, Schema, SynthConfig, label_matrix, load_dataset,
+                   synthesize)
 from .evaluation import MetricReport, auc, ndcg_at_k
 from .gradcore import Graph, Tensor, grad_check
 from .model import ModelConfig, SharedBottomModel, TrainReport, evaluate_model, fit
@@ -49,6 +50,7 @@ __all__ = [
     "fit",
     "grad_check",
     "is_unimodal_row_stochastic",
+    "label_matrix",
     "load_dataset",
     "ndcg_at_k",
     "perm_matrix",

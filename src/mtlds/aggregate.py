@@ -1,4 +1,4 @@
-"""Combine per-task predictions to one score and label sequences to rank labels."""
+"""Combine per-task predictions to one score and label rows to behavior depths."""
 
 from __future__ import annotations
 
@@ -41,12 +41,6 @@ class LabelSequence:
         if t is not None:
             raise LabelOrderError(
                 f"label {t + 1} set without label {t}: {self.labels}")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
 
 
 def aggregate_columns(
@@ -96,11 +90,10 @@ def aggregate_predictions(
     return aggregate_columns(kind, rows, weight)
 
 
-def aggregate_labels(labels: LabelSequence | Sequence[int]) -> int:
-    """Sum the binary labels: the depth of the user's behavior prefix."""
-    if not isinstance(labels, LabelSequence):
-        labels = LabelSequence(tuple(int(l) for l in labels))
-    return sum(labels)
+def aggregate_labels(labels: np.ndarray) -> np.ndarray:
+    """Row sums of an (n, T) label matrix: each item's behavior depth, the
+    length of its user's behavior prefix."""
+    return labels.sum(axis=1)
 
 
 def label_permutation(scores: Sequence[int]) -> np.ndarray:

@@ -187,7 +187,6 @@ def _toy_impression(rng: np.random.Generator, n: int = 5) -> Impression:
     for depth in rng.permutation(np.arange(n) % (tasks + 1)):
         labels = LabelSequence(tuple(1 if t < depth else 0 for t in range(tasks)))
         samples.append(Sample(
-            impression_id="imp0",
             user_ids=(user,),
             item_ids=(int(rng.integers(8)),),
             dense=(float(rng.standard_normal()),),

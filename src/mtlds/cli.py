@@ -26,6 +26,7 @@ from .data import (
     DatasetFormatError,
     SynthConfig,
     atomic_open,
+    label_matrix,
     load_dataset,
     split,
     synthesize,
@@ -196,10 +197,9 @@ def cmd_synth(config_path: str, out_path: str) -> None:
         _fail(f"cannot write {out_path}: {exc}", 2)
     click.echo(f"wrote {out_path}")
     click.echo(f"impressions={len(ds.impressions)} samples={ds.sample_count}")
-    samples = list(ds.iter_samples())
-    for t, task in enumerate(ds.schema.tasks):
-        positives = sum(s.labels.labels[t] for s in samples)
-        click.echo(f"positives[{task}]={positives}")
+    positives = label_matrix(ds.iter_samples()).sum(axis=0)
+    for task, count in zip(ds.schema.tasks, positives):
+        click.echo(f"positives[{task}]={int(count)}")
 
 
 def _single_seed_run(cfg: ExperimentConfig, source: Dataset, seed: int, out_dir: Path):
@@ -240,6 +240,11 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
             cfg = replace(cfg, rank_by=rank_by_flag)
         source = _load_source(cfg)
         rank_by_task(cfg.rank_by, source.schema.tasks)
+        # the part sizes depend on the impression count and fractions, not on the seed
+        sizes = [len(part.impressions) for part in split(source, cfg.split, seed=cfg.seeds[0])]
+        if 0 in sizes:
+            raise ConfigError(f"split {list(cfg.split)} of {len(source.impressions)} impressions "
+                              f"gives train/valid/test sizes {sizes}; each needs one or more")
     except (ConfigError, DatasetFormatError, ValueError) as exc:
         _fail(str(exc), 2)
     out_dir = _resolve_out_dir(cfg, out_flag)
@@ -317,6 +322,8 @@ def cmd_eval(checkpoint_path: str, data_path: str, cutoffs: str, rank_by: str,
         if mismatches:
             raise ConfigError("checkpoint/dataset schema mismatch: " + "; ".join(mismatches))
         rank_by_task(rank_by, ds.schema.tasks)
+        if not ds.impressions:
+            raise DatasetFormatError(f"no impressions to evaluate in {data_path}")
     except (ConfigError, DatasetFormatError, ValueError) as exc:
         _fail(str(exc), 2)
     try:

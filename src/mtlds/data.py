@@ -19,7 +19,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class Schema:
 
 @dataclass(frozen=True)
 class Sample:
-    impression_id: str
     user_ids: tuple[int, ...]
     item_ids: tuple[int, ...]
     dense: tuple[float, ...]
@@ -85,10 +84,6 @@ class Impression:
     def __post_init__(self) -> None:
         if not self.samples:
             raise ValueError(f"impression {self.id!r} has no samples")
-        for s in self.samples:
-            if s.impression_id != self.id:
-                raise ValueError(
-                    f"sample with impression_id {s.impression_id!r} inside impression {self.id!r}")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -106,6 +101,11 @@ class Dataset:
     def iter_samples(self) -> Iterator[Sample]:
         for imp in self.impressions:
             yield from imp.samples
+
+
+def label_matrix(samples: Iterable[Sample]) -> np.ndarray:
+    """The (n, T) float label matrix of a non-empty sample sequence, one row per sample."""
+    return np.array([s.labels.labels for s in samples], dtype=np.float64)
 
 
 def _parse_fields(text: str, what: str, line_no: int) -> tuple[FieldSpec, ...]:
@@ -163,7 +163,8 @@ def _parse_ids(text: str, count: int, what: str, line_no: int) -> tuple[int, ...
     return ids
 
 
-def _parse_line(line: str, schema: Schema, line_no: int) -> Sample:
+def _parse_line(line: str, schema: Schema, line_no: int) -> tuple[str, Sample]:
+    """The impression id and the sample of one data line."""
     parts = line.rstrip("\r\n").split("\t")
     if len(parts) != 5:
         raise DatasetFormatError(f"line {line_no}: expected 5 tab-separated columns, got {len(parts)}")
@@ -197,7 +198,7 @@ def _parse_line(line: str, schema: Schema, line_no: int) -> Sample:
         raise LabelOrderError(
             f"line {line_no}: impression {imp_id!r} has label {t + 1} set "
             f"without label {t} (pair ({t}, {t + 1}))") from None
-    return Sample(imp_id, user_ids, item_ids, dense, labels)
+    return imp_id, Sample(user_ids, item_ids, dense, labels)
 
 
 def _decoded_lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
@@ -227,12 +228,12 @@ def load_dataset(path) -> Dataset:
         for line_no, line in lines:
             if not line.strip():
                 continue
-            sample = _parse_line(line, schema, line_no)
-            if sample.impression_id != current and sample.impression_id in groups:
+            imp_id, sample = _parse_line(line, schema, line_no)
+            if imp_id != current and imp_id in groups:
                 raise DatasetFormatError(
-                    f"line {line_no}: impression {sample.impression_id!r} reappears after "
+                    f"line {line_no}: impression {imp_id!r} reappears after "
                     f"{current!r}; the lines of one impression must be adjacent")
-            current = sample.impression_id
+            current = imp_id
             groups.setdefault(current, []).append(sample)
     impressions = tuple(Impression(imp_id, tuple(samples))
                         for imp_id, samples in groups.items())
@@ -266,14 +267,15 @@ def write_dataset(ds: Dataset, path) -> None:
             f"\titem={_format_fields(ds.schema.item_fields)}"
             f"\tdense={ds.schema.dense_count}"
             f"\ttasks={','.join(ds.schema.tasks)}\n")
-        for sample in ds.iter_samples():
-            fh.write("\t".join([
-                sample.impression_id,
-                "|".join(str(i) for i in sample.user_ids),
-                "|".join(str(i) for i in sample.item_ids),
-                ",".join(repr(float(x)) for x in sample.dense),
-                ",".join(str(l) for l in sample.labels),
-            ]) + "\n")
+        for imp in ds.impressions:
+            for sample in imp.samples:
+                fh.write("\t".join([
+                    imp.id,
+                    "|".join(str(i) for i in sample.user_ids),
+                    "|".join(str(i) for i in sample.item_ids),
+                    ",".join(repr(float(x)) for x in sample.dense),
+                    ",".join(str(l) for l in sample.labels.labels),
+                ]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -318,9 +320,8 @@ def synthesize(cfg: SynthConfig) -> Dataset:
     sequences are monotone by construction.
     """
     rng = np.random.default_rng(cfg.seed)
-    t_count = len(cfg.tasks)
     u_vecs = rng.standard_normal((cfg.users, cfg.latent_dim))
-    v_vecs = rng.standard_normal((cfg.items, t_count, cfg.latent_dim))
+    v_vecs = rng.standard_normal((cfg.items, len(cfg.tasks), cfg.latent_dim))
     biases = np.asarray(cfg.biases)
 
     impressions = []
@@ -331,24 +332,12 @@ def synthesize(cfg: SynthConfig) -> Dataset:
         if cfg.noise > 0:
             logits = logits + cfg.noise * rng.standard_normal(logits.shape)
         probs = 1.0 / (1.0 + np.exp(-logits))
-        draws = rng.random(probs.shape)
-        imp_id = f"imp{k:06d}"
-        samples = []
-        for row, item in enumerate(items):
-            labels = []
-            alive = True
-            for t in range(t_count):
-                fired = alive and draws[row, t] < probs[row, t]
-                labels.append(1 if fired else 0)
-                alive = fired
-            samples.append(Sample(
-                impression_id=imp_id,
-                user_ids=(user,),
-                item_ids=(int(item),),
-                dense=(),
-                labels=LabelSequence(tuple(labels)),
-            ))
-        impressions.append(Impression(imp_id, tuple(samples)))
+        # the cascade: task t fires when its draw does and every earlier task fired
+        labels = np.cumprod(rng.random(probs.shape) < probs, axis=1)
+        samples = tuple(
+            Sample(user_ids=(user,), item_ids=(item,), dense=(), labels=LabelSequence(tuple(row)))
+            for item, row in zip(items.tolist(), labels.tolist()))
+        impressions.append(Impression(f"imp{k:06d}", samples))
 
     schema = Schema(
         user_fields=(FieldSpec("user_id", cfg.users),),

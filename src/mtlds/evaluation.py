@@ -43,16 +43,9 @@ def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"AUC undefined: {n_pos} positive and {n_neg} negative labels")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    _, inv, counts = np.unique(s, return_inverse=True, return_counts=True)
+    # 1-based midrank of each tie group: its last rank minus half its extent
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inv]
     pos_rank_sum = ranks[y == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .aggregate import AGGREGATOR_KINDS, aggregate_columns, aggregate_labels, label_permutation
-from .data import Dataset, FieldSpec, Impression, Sample, Schema, atomic_open, batch_impressions
+from .data import (Dataset, FieldSpec, Impression, Sample, Schema, atomic_open,
+                   batch_impressions, label_matrix)
 from .evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
 from .gradcore import AdamState, Graph, Tensor, adam_step, fn
 from .sortops import (
@@ -55,7 +56,7 @@ CHECKPOINT_MAGIC = b"MTLDS1\n"
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss or a gradient became non-finite."""
 
 
 class CheckpointError(ValueError):
@@ -237,24 +238,12 @@ class SharedBottomModel:
             cols.append(fn.sigmoid(logit))
         return cols
 
-    def forward(
-        self,
-        graph: Graph,
-        samples: Sequence[Sample],
-        params_t: dict[str, Tensor] | None = None,
-    ) -> Tensor:
-        """(n, towers) matrix of per-task probabilities for a list of samples."""
-        batch = encode_samples(self.schema, samples)
-        return fn.concat_cols(self.task_columns(graph, batch, params_t))
-
     # ------------------------------------------------------------------ losses
 
     def _flatten(self, impressions: Sequence[Impression]) -> tuple[list[Sample], list[tuple[int, int]]]:
         samples: list[Sample] = []
         spans = []
         for imp in impressions:
-            if len(imp) == 0:
-                raise ValueError(f"impression {imp.id!r} is empty")
             spans.append((len(samples), len(samples) + len(imp)))
             samples.extend(imp.samples)
         return samples, spans
@@ -271,8 +260,7 @@ class SharedBottomModel:
         batch = encode_samples(self.schema, samples)
         pt = params_t if params_t is not None else self.bind(graph)
         cols = self.task_columns(graph, batch, pt)
-        labels = np.array([s.labels.labels for s in samples], dtype=np.float64)
-        return cols, labels, spans, pt
+        return cols, label_matrix(samples), spans, pt
 
     def _listwise_losses(
         self,
@@ -308,7 +296,7 @@ class SharedBottomModel:
         task_terms = [TASK_LOSSES[kind](cols[t], labels[:, t], spans)
                       for t, kind in enumerate(self.task_losses)]
         agg_col = aggregate_columns(self.config.aggregator, cols, pt.get("agg/w"))
-        listwise = self._listwise_losses(agg_col, labels.sum(axis=1), spans,
+        listwise = self._listwise_losses(agg_col, aggregate_labels(labels), spans,
                                          use_listnet=self.config.kind == "mtl_listnet")
         return task_terms, fn.scale(listwise, 1.0 / len(spans))
 
@@ -342,7 +330,7 @@ class SharedBottomModel:
                           task_loss(p_both, labels[:, 0] * labels[:, -1], spans))
         if kind == "dnn_pointwise":
             return bce_loss(cols[0], labels[:, -1], spans)
-        combined = labels.sum(axis=1)
+        combined = aggregate_labels(labels)
         if kind == "dnn_pairwise":
             return ranknet_loss(cols[0], combined, spans)
         return fn.scale(self._listwise_losses(cols[0], combined, spans, use_listnet=False),
@@ -411,16 +399,14 @@ def evaluate_model(
     """
     if gain not in GAINS:
         raise ValueError(f"gain must be 'depth' or 'final', got {gain!r}")
+    if not ds.impressions:
+        raise ValueError("no impressions to evaluate")
     scores = model.ranking_scores(ds.impressions, rank_by=rank_by)
-    gains = []
-    finals = []
-    for imp in ds.impressions:
-        if gain == "depth":
-            gains.append(np.array([aggregate_labels(s.labels) for s in imp.samples]))
-        else:
-            gains.append(np.array([s.labels.labels[-1] for s in imp.samples]))
-        finals.append(np.array([s.labels.labels[-1] for s in imp.samples]))
-    return evaluate_ranking(scores, gains, finals, cutoffs)
+    labels = label_matrix(ds.iter_samples())
+    finals = labels[:, -1]
+    gains = aggregate_labels(labels) if gain == "depth" else finals
+    cuts = np.cumsum([len(imp) for imp in ds.impressions[:-1]], dtype=np.intp)
+    return evaluate_ranking(scores, np.split(gains, cuts), np.split(finals, cuts), cutoffs)
 
 
 # ------------------------------------------------------------------- training
@@ -457,11 +443,12 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
     synthetic data pipeline all derive from declared seeds.  Raises
     :class:`UndefinedMetricError` before training when the validation AUC is
     undefined, and :class:`DivergenceError` naming the epoch and batch if the
-    loss goes non-finite.
+    loss goes non-finite, and the parameter too if a gradient does (before
+    the Adam step that would spread it).
     """
     if not train.impressions or not valid.impressions:
         raise ValueError("train and valid datasets must be non-empty")
-    positives = sum(s.labels.labels[-1] for s in valid.iter_samples())
+    positives = int(label_matrix(valid.iter_samples())[:, -1].sum())
     if positives in (0, valid.sample_count):
         raise UndefinedMetricError(
             f"validation AUC undefined: {positives} of {valid.sample_count} final labels positive")
@@ -487,6 +474,10 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
             grads_map = graph.backward(loss)
             grads = [grads_map.get(pt[n].node_id, np.zeros_like(model.params[n]))
                      for n in names]
+            for n, g in zip(names, grads):
+                if not np.isfinite(g).all():
+                    raise DivergenceError(
+                        f"gradient of {n!r} became non-finite at epoch {epoch}, batch {b_idx}")
             updated = adam_step([model.params[n] for n in names], grads, state,
                                 lr=config.learning_rate)
             for n, arr in zip(names, updated):

@@ -109,17 +109,11 @@ class TestAggregatePredictions:
 class TestLabelAggregation:
     @pytest.mark.parametrize("labels,expected", [((1, 1), 2), ((0, 0), 0), ((1, 1, 0), 2)])
     def test_depth_scores(self, labels, expected):
-        assert aggregate_labels(LabelSequence(labels)) == expected
-
-    def test_non_monotone_rejected(self):
-        with pytest.raises(LabelOrderError):
-            aggregate_labels((0, 1))
+        assert aggregate_labels(np.array([labels])).tolist() == [expected]
 
     def test_behavioral_depth_ordering(self):
-        purchased = aggregate_labels((1, 1, 1))
-        carted = aggregate_labels((1, 1, 0))
-        clicked = aggregate_labels((1, 0, 0))
-        skipped = aggregate_labels((0, 0, 0))
+        purchased, carted, clicked, skipped = aggregate_labels(
+            np.array([(1, 1, 1), (1, 1, 0), (1, 0, 0), (0, 0, 0)]))
         assert purchased > carted > clicked > skipped
 
 

@@ -173,6 +173,15 @@ class TestEval:
         metrics = json.loads(out_json.read_text())
         assert set(metrics["ndcg"]) == {"2", "6", "12"}
 
+    def test_empty_data_file_exits_2(self, trained, tmp_path):
+        ckpt, data_path = trained
+        empty = tmp_path / "empty.tsv"
+        empty.write_text(data_path.read_text(encoding="utf-8").splitlines()[0] + "\n",
+                         encoding="utf-8")
+        result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--data", str(empty)])
+        assert result.exit_code == 2, result.output
+        assert "no impressions to evaluate" in result.output
+
     def test_schema_mismatch_names_fields(self, tmp_path):
         config = write_config(tmp_path)
         assert runner.invoke(main, ["train", "--config", str(config)]).exit_code == 0
@@ -305,6 +314,20 @@ class TestConfigHandling:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not list((tmp_path / "runs").glob("seed*"))
+
+    @pytest.mark.parametrize("lines,sizes", [
+        ([], "[0, 0, 0]"),
+        (["imp0\t1\t2\t\t1,0", "imp1\t1\t3\t\t0,0"], "[1, 1, 0]"),
+    ], ids=["header-only", "two-impressions"])
+    def test_data_too_small_to_split_exits_2(self, tmp_path, lines, sizes):
+        data_path = tmp_path / "data.tsv"
+        data_path.write_text("\n".join(["!schema\tuser=u:4\titem=i:6\tdense=0\ttasks=click,buy",
+                                        *lines]) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, data={"path": str(data_path)}, model={"kind": "esmm"})
+        result = runner.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert f"train/valid/test sizes {sizes}" in result.output
+        assert not (tmp_path / "runs").exists()
 
     def test_hash_tracks_config_changes(self, tmp_path):
         a = load_experiment_config(write_config(tmp_path, name="a.yaml"))

@@ -18,6 +18,7 @@ from mtlds.data import (
     SynthConfig,
     atomic_open,
     batch_impressions,
+    label_matrix,
     load_dataset,
     project_tasks,
     split,
@@ -62,8 +63,7 @@ class TestLoadDataset:
         schema = Schema((FieldSpec("user_id", 4),), (FieldSpec("item_id", 6),), 2,
                         ("click", "purchase"))
         samples = tuple(
-            Sample("imp0", (1,), (i,), (np.float64(0.5), np.float64(-1.25) * i),
-                   LabelSequence((1, 0)))
+            Sample((1,), (i,), (np.float64(0.5), np.float64(-1.25) * i), LabelSequence((1, 0)))
             for i in range(3))
         ds = Dataset(schema, (Impression("imp0", samples),))
         path = tmp_path / "ds.tsv"
@@ -192,7 +192,6 @@ def datasets(draw):
         for _ in range(draw(st.integers(1, 3))):
             depth = draw(st.integers(0, len(tasks)))
             samples.append(Sample(
-                imp_id,
                 tuple(draw(INT64) for _ in schema.user_fields),
                 tuple(draw(INT64) for _ in schema.item_fields),
                 tuple(draw(st.floats(allow_nan=False, allow_infinity=False))
@@ -286,6 +285,31 @@ class TestSynthesize:
         ds = synthesize(cfg)
         assert all(s.labels.labels[1] == 0 for s in ds.iter_samples())
 
+    def test_cascade_matches_per_item_loop(self):
+        cfg = SynthConfig(impressions=40, users=10, items=30, tasks=("a", "b", "c"),
+                          biases=(0.5, -0.5, -1.5))
+        rng = np.random.default_rng(cfg.seed)
+        u_vecs = rng.standard_normal((cfg.users, cfg.latent_dim))
+        v_vecs = rng.standard_normal((cfg.items, 3, cfg.latent_dim))
+        expected = []
+        for _ in range(cfg.impressions):
+            user = int(rng.integers(cfg.users))
+            items = rng.choice(cfg.items, size=cfg.list_size, replace=False)
+            logits = v_vecs[items] @ u_vecs[user] + np.asarray(cfg.biases)
+            logits = logits + cfg.noise * rng.standard_normal(logits.shape)
+            probs = 1.0 / (1.0 + np.exp(-logits))
+            draws = rng.random(probs.shape)
+            for row in range(cfg.list_size):
+                alive, labels = True, []
+                for t in range(3):
+                    alive = alive and draws[row, t] < probs[row, t]
+                    labels.append(int(alive))
+                expected.append(tuple(labels))
+        got = [s.labels.labels for s in synthesize(cfg).iter_samples()]
+        assert got == expected
+        assert {type(l) for row in got for l in row} == {int}
+        assert len(set(expected)) == 4  # every depth occurs
+
     def test_click_rate_exceeds_purchase_rate(self):
         ds = synthesize(SynthConfig(impressions=300, users=20, items=60))
         labels = np.array([s.labels.labels for s in ds.iter_samples()])
@@ -304,6 +328,15 @@ class TestSynthesize:
             SynthConfig(tasks=("click",), biases=(-1.0,))
         with pytest.raises(ValueError, match="list_size"):
             SynthConfig(items=4, list_size=12)
+
+
+def test_label_matrix_rows_follow_samples():
+    ds = synthesize(SynthConfig(impressions=5, users=4, items=12, list_size=3))
+    samples = list(ds.iter_samples())
+    labels = label_matrix(ds.iter_samples())
+    assert labels.shape == (15, 2) and labels.dtype == np.float64
+    assert [tuple(row) for row in labels] == [s.labels.labels for s in samples]
+    np.testing.assert_array_equal(label_matrix(samples[2:4]), labels[2:4])
 
 
 class TestBatching:

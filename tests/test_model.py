@@ -5,7 +5,7 @@ import pytest
 from mtlds.aggregate import LabelSequence
 from mtlds.data import FieldSpec, Impression, Sample, Schema, SynthConfig, split, synthesize
 from mtlds.evaluation import UndefinedMetricError
-from mtlds.gradcore import Graph
+from mtlds.gradcore import Graph, corrupted_vjp
 from mtlds.model import (
     MODEL_KINDS,
     DivergenceError,
@@ -36,7 +36,6 @@ def make_impression(imp_id, rows, tasks=2, dense=0, seed=0):
     samples = []
     for labels in rows:
         samples.append(Sample(
-            impression_id=imp_id,
             user_ids=(int(rng.integers(6)),),
             item_ids=(int(rng.integers(10)),),
             dense=tuple(rng.standard_normal(dense)),
@@ -46,6 +45,12 @@ def make_impression(imp_id, rows, tasks=2, dense=0, seed=0):
 
 
 IMP = make_impression("imp0", [(1, 1), (1, 0), (0, 0), (1, 0), (0, 0)], seed=1)
+
+
+def task_probs(model, samples):
+    """(n, towers) matrix of the per-task probabilities of ``samples``."""
+    cols = model.task_columns(Graph(), encode_samples(model.schema, samples))
+    return np.hstack([c.value for c in cols])
 
 
 def small_config(**kw):
@@ -64,34 +69,33 @@ class TestForward:
                 model.params[f"tower/{t}/{head}/W"])
             model.params[f"tower/{t}/{head}/b"] = np.zeros_like(
                 model.params[f"tower/{t}/{head}/b"])
-        out = model.forward(Graph(), IMP.samples)
-        npt.assert_allclose(out.value, 0.5)
+        npt.assert_allclose(task_probs(model, IMP.samples), 0.5)
 
     def test_identical_rows_get_identical_outputs(self):
         model = SharedBottomModel(tiny_schema(), small_config())
         s = IMP.samples[0]
-        twin = Sample(s.impression_id, s.user_ids, s.item_ids, s.dense, s.labels)
-        out = model.forward(Graph(), [s, twin]).value
+        twin = Sample(s.user_ids, s.item_ids, s.dense, s.labels)
+        out = task_probs(model, [s, twin])
         npt.assert_array_equal(out[0], out[1])
 
     def test_outputs_strictly_inside_unit_interval(self):
         model = SharedBottomModel(tiny_schema(), small_config())
-        out = model.forward(Graph(), IMP.samples).value
+        out = task_probs(model, IMP.samples)
         assert np.all(out > 0.0) and np.all(out < 1.0)
         assert out.shape == (5, 2)
 
     def test_unknown_ids_map_to_reserved_row_without_error(self):
         model = SharedBottomModel(tiny_schema(), small_config())
         s = IMP.samples[0]
-        alien = Sample(s.impression_id, (999,), (-5,), s.dense, s.labels)
-        reserved = Sample(s.impression_id, (6,), (10,), s.dense, s.labels)
-        out = model.forward(Graph(), [alien, reserved]).value
+        alien = Sample((999,), (-5,), s.dense, s.labels)
+        reserved = Sample((6,), (10,), s.dense, s.labels)
+        out = task_probs(model, [alien, reserved])
         npt.assert_array_equal(out[0], out[1])
 
     def test_forward_is_deterministic(self):
         model = SharedBottomModel(tiny_schema(), small_config())
-        a = model.forward(Graph(), IMP.samples).value
-        b = model.forward(Graph(), IMP.samples).value
+        a = task_probs(model, IMP.samples)
+        b = task_probs(model, IMP.samples)
         npt.assert_array_equal(a, b)
 
 
@@ -133,8 +137,6 @@ class TestTotalLoss:
     def test_empty_impression_unrepresentable(self):
         with pytest.raises(ValueError, match="no samples"):
             Impression("void", ())
-        with pytest.raises(ValueError, match="impression_id"):
-            Impression("a", (Sample("b", (0,), (0,), (), LabelSequence((0, 0))),))
 
     def test_gradient_reaches_linear_aggregator_weights(self):
         model = SharedBottomModel(tiny_schema(), small_config())
@@ -281,7 +283,7 @@ def test_batch_loss_and_gradients_match_pinned_values(case):
 
 class TestHardParameterSharing:
     def _outputs(self, model):
-        return model.forward(Graph(), IMP.samples).value
+        return task_probs(model, IMP.samples)
 
     def test_shared_perturbation_moves_every_tower(self):
         model = SharedBottomModel(tiny_schema(), small_config())
@@ -420,6 +422,13 @@ class TestFit:
         with pytest.raises(DivergenceError, match="epoch 1, batch 0"):
             fit(small_config(epochs=1), tr, va)
 
+    def test_non_finite_gradient_names_parameter_and_batch(self, datasets):
+        tr, va, _ = datasets
+        message = r"gradient of 'emb/user_id' became non-finite at epoch 1, batch 0"
+        with corrupted_vjp("sigmoid", factor=float("inf")), np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError, match=message):
+                fit(small_config(epochs=1), tr, va)
+
     @pytest.mark.parametrize("biases", [(-0.5, -60.0), (60.0, 50.0)], ids=["no-positive", "no-negative"])
     def test_single_class_validation_rejected_before_training(self, datasets, monkeypatch, biases):
         tr, _, _ = datasets
@@ -446,7 +455,7 @@ class TestRankingAndEvaluation:
         agg = model.ranking_scores([IMP], rank_by="aggregate")[0]
         click = model.ranking_scores([IMP], rank_by="task:click")[0]
         purchase = model.ranking_scores([IMP], rank_by="task:purchase")[0]
-        cols = model.forward(Graph(), IMP.samples).value
+        cols = task_probs(model, IMP.samples)
         npt.assert_allclose(click, cols[:, 0], atol=1e-12)
         npt.assert_allclose(purchase, cols[:, 1], atol=1e-12)
         w = model.params["agg/w"][:, 0]
@@ -462,7 +471,7 @@ class TestRankingAndEvaluation:
     def test_esmm_aggregate_score_is_product(self):
         model = SharedBottomModel(tiny_schema(), small_config(kind="esmm"))
         scores = model.ranking_scores([IMP], rank_by="aggregate")[0]
-        cols = model.forward(Graph(), IMP.samples).value
+        cols = task_probs(model, IMP.samples)
         npt.assert_allclose(scores, cols[:, 0] * cols[:, 1], atol=1e-12)
 
     def test_evaluate_model_gain_modes(self):
