@@ -1,9 +1,10 @@
 """Runnable verification suite: finite-difference checks for every
 differentiable operation and loss, plus the URS property sweep.
 
-Kinked operations (relu, abs, max, clip) are checked on inputs resampled to
-keep a margin of at least 1e-3 from the kink, where the subgradient choice
-cannot disturb central differences.
+Kinked operations (relu, max, clip, and the absolute value inside
+softsort_logits) are checked on inputs resampled to keep a margin of at least
+1e-3 from the kink, where the subgradient choice cannot disturb central
+differences.
 """
 
 from __future__ import annotations
@@ -71,6 +72,20 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
     k34 = rng.standard_normal((3, 4))
     k42 = rng.standard_normal((4, 2))
     idx = tuple(int(i) for i in rng.integers(0, 3, size=5))  # repeats exercise scatter-add
+    order = rng.permutation(5)
+    perms = [np.eye(2)[rng.permutation(2)], np.eye(3)[rng.permutation(3)],
+             np.eye(2)[rng.permutation(2)]]
+    first2, last2 = np.eye(3)[:2], np.eye(3)[1:]
+    spans = [(0, 2), (2, 5), (5, 7)]  # lengths 2, 3, 2: two blocks, one of two lists
+    labels = rng.standard_normal(7)
+
+    def perm_xent(x: Tensor) -> Tensor:
+        # the (2, 2) corners of x by constant selection matmuls, then x itself
+        g = x.graph
+        corners = [fn.matmul(fn.matmul(g.tensor(sel), x), g.tensor(sel.T))
+                   for sel in (first2, last2)]
+        return fn.perm_xent([corners[0], x, corners[1]], perms, np.array([1.0, 0.6, 0.5]))
+
     return {
         "add": (lambda x: fn.add(x, x.graph.tensor(k34)), rng.standard_normal((3, 4))),
         "sub": (lambda x: fn.sub(x, x.graph.tensor(k34)), rng.standard_normal((3, 4))),
@@ -78,7 +93,6 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
         "matmul": (lambda x: fn.matmul(x, x.graph.tensor(k42)), rng.standard_normal((3, 4))),
         "scale": (lambda x: fn.scale(x, -1.7), rng.standard_normal((3, 4))),
         "neg": (lambda x: fn.neg(x), rng.standard_normal((3, 4))),
-        "abs": (lambda x: fn.abs_(x), _away_from(rng, (3, 4), [0.0])),
         "log": (lambda x: fn.log(x), rng.uniform(0.5, 2.0, (3, 4))),
         "sigmoid": (lambda x: fn.sigmoid(x), rng.standard_normal((3, 4))),
         "relu": (lambda x: fn.relu(x), _away_from(rng, (3, 4), [0.0])),
@@ -87,10 +101,12 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
         "max_rows": (lambda x: fn.max_rows(x), _spread(rng, (3, 4))),
         "gather_rows": (lambda x: fn.gather_rows(x, idx), rng.standard_normal((3, 4))),
         "broadcast_row": (lambda x: fn.broadcast_row(x, 4), rng.standard_normal((3, 1))),
-        "broadcast_col": (lambda x: fn.broadcast_col(x, 4), rng.standard_normal((3, 1))),
         "clip": (lambda x: fn.clip(x, -0.5, 0.5), _away_from(rng, (3, 4), [-0.5, 0.5])),
         "concat_cols": (lambda x: fn.concat_cols([x, x.graph.tensor(k34), x]),
                         rng.standard_normal((3, 2))),
+        "softsort_logits": (lambda x: fn.softsort_logits(x, order, 0.7), _spread(rng, (5, 1))),
+        "perm_xent": (perm_xent, rng.uniform(0.05, 0.95, (3, 3))),
+        "listnet": (lambda x: fn.listnet(x, labels, spans), rng.standard_normal((7, 1))),
     }
 
 
@@ -113,18 +129,21 @@ def check_registry_ops(trials: int = 20, seed: int = 0, tol: float = 1e-4) -> li
 
 
 def check_losses(trials: int = 20, seed: int = 1) -> list[CheckResult]:
+    """Each loss on two impression spans, as in a training batch."""
     rng = np.random.default_rng(seed)
     worst_sort = worst_listnet = worst_ranknet = worst_bce = 0.0
     for _ in range(trials):
         n = int(rng.integers(3, 9))
         s = _spread(rng, (n, 1), min_gap=5e-3)
-        labels = rng.integers(0, 3, size=n)
-        p = label_permutation(labels)
-        worst_sort = max(worst_sort, grad_check(lambda t: sort_loss(soft_sort(t, 1.0), p), s))
-        y = rng.standard_normal(n)
-        worst_listnet = max(worst_listnet, grad_check(lambda t: listnet_loss(t, y), s))
         cut = int(rng.integers(2, n))
-        spans = [(0, cut), (cut, n)]  # two impressions, as in a training batch
+        spans = [(0, cut), (cut, n)]
+        labels = rng.integers(0, 3, size=n)
+        perms = [label_permutation(labels[a:b]) for a, b in spans]
+        worst_sort = max(worst_sort, grad_check(
+            lambda t: sort_loss([soft_sort(fn.gather_rows(t, range(a, b)), 1.0)
+                                 for a, b in spans], perms), s))
+        y = rng.standard_normal(n)
+        worst_listnet = max(worst_listnet, grad_check(lambda t: listnet_loss(t, y, spans), s))
         graded = rng.integers(0, 3, size=n)
         if np.all(graded[:cut] == graded[0]):
             graded[0] += 1

@@ -316,6 +316,8 @@ def cmd_eval(checkpoint_path: str, data_path: str, cutoffs: str, rank_by: str,
     """Evaluate a checkpoint on a dataset file."""
     try:
         ks = tuple(int(k) for k in cutoffs.split(","))
+        if any(k < 1 for k in ks):
+            raise ConfigError(f"cutoffs must be positive integers, got {cutoffs}")
         model = load_checkpoint(checkpoint_path)
         ds = load_dataset(data_path)
         mismatches = _schema_mismatches(model.schema, ds.schema)

@@ -33,10 +33,6 @@ def neg(x: Tensor) -> Tensor:
     return x.graph.apply("neg", [x])
 
 
-def abs_(x: Tensor) -> Tensor:
-    return x.graph.apply("abs", [x])
-
-
 def log(x: Tensor) -> Tensor:
     return x.graph.apply("log", [x])
 
@@ -69,10 +65,6 @@ def broadcast_row(v: Tensor, rows: int) -> Tensor:
     return v.graph.apply("broadcast_row", [v], rows=int(rows))
 
 
-def broadcast_col(v: Tensor, cols: int) -> Tensor:
-    return v.graph.apply("broadcast_col", [v], cols=int(cols))
-
-
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return x.graph.apply("clip", [x], lo=float(lo), hi=float(hi))
 
@@ -84,3 +76,23 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     if len(tensors) == 1:
         return tensors[0]
     return tensors[0].graph.apply("concat_cols", tensors)
+
+
+def softsort_logits(s: Tensor, order: Sequence[int], tau: float) -> Tensor:
+    """The (n, n) SoftSort logits -|s[order][i] - s[j]| / tau of an (n, 1) column."""
+    return s.graph.apply("softsort_logits", [s], order=np.array(order, dtype=np.intp),
+                         factor=-1.0 / tau)
+
+
+def perm_xent(p_hats: Sequence[Tensor], perms: Sequence[np.ndarray],
+              weights: np.ndarray) -> Tensor:
+    """Mean over lists of -sum_i weights[i] * sum_j [P log P_hat + (1 - P) log(1 - P_hat)]
+    for square P_hat tensors and hard permutation matrices P of any sizes;
+    ``weights`` covers the longest list."""
+    return p_hats[0].graph.apply("perm_xent", p_hats, perms=list(perms), weights=weights)
+
+
+def listnet(s: Tensor, labels: np.ndarray, spans: Sequence[tuple[int, int]]) -> Tensor:
+    """Mean over the ``(start, stop)`` spans of the cross-entropy between
+    softmax(labels) and softmax(s) within each span."""
+    return s.graph.apply("listnet", [s], labels=labels, spans=list(spans))

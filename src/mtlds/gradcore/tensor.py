@@ -4,10 +4,16 @@ A :class:`Graph` is an append-only tape: every operation records a node with
 its tag, parent node ids and forward value, so the backward pass is a single
 reverse walk over the tape.  Tensors are immutable handles into one graph.
 
-Vector convention: vectors are (n, 1) column tensors.  ``broadcast_row`` and
-``broadcast_col`` tile a column vector into a matrix by row or column
-replication, which is how outer-product style expressions are built without
-a transpose primitive.
+Vector convention: vectors are (n, 1) column tensors.  ``broadcast_row``
+tiles a column vector into a matrix of identical rows, which is how bias
+terms are added without a transpose primitive.
+
+The listwise ops (``softsort_logits``, ``perm_xent``, ``listnet``) are fused:
+each replays, in one node, the elementwise arithmetic of the composition of
+basic ops it replaces, in the same order, so values and gradients keep their
+bits.  The two batch losses stack the lists of one length, take each list's
+sum on its own contiguous slice, add the sums in list order and multiply by
+``1.0 / lists``: the mean over lists.
 """
 
 from __future__ import annotations
@@ -15,6 +21,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+# Probability clip applied before every logarithm of the losses: the
+# cross-entropies are undefined at exact 0/1 and soft probabilities underflow.
+PROB_EPS = 1e-12
 
 
 class GradcoreError(Exception):
@@ -143,10 +153,6 @@ def _fwd_neg(xs, attrs):
     return -xs[0]
 
 
-def _fwd_abs(xs, attrs):
-    return np.abs(xs[0])
-
-
 def _fwd_log(xs, attrs):
     x = xs[0]
     if np.any(x <= 0.0):
@@ -199,13 +205,6 @@ def _fwd_broadcast_row(xs, attrs):
     return np.tile(v.T, (attrs["rows"], 1))
 
 
-def _fwd_broadcast_col(xs, attrs):
-    v = xs[0]
-    if v.shape[1] != 1:
-        raise ShapeMismatchError(f"broadcast_col: expected a column vector, got {v.shape}")
-    return np.tile(v, (1, attrs["cols"]))
-
-
 def _fwd_clip(xs, attrs):
     return np.clip(xs[0], attrs["lo"], attrs["hi"])
 
@@ -240,11 +239,6 @@ def _vjp_scale(g, xs, out, attrs):
 
 def _vjp_neg(g, xs, out, attrs):
     return [-g]
-
-
-def _vjp_abs(g, xs, out, attrs):
-    # subgradient 0 at exactly 0
-    return [g * np.sign(xs[0])]
 
 
 def _vjp_log(g, xs, out, attrs):
@@ -287,10 +281,6 @@ def _vjp_broadcast_row(g, xs, out, attrs):
     return [g.sum(axis=0).reshape(-1, 1)]
 
 
-def _vjp_broadcast_col(g, xs, out, attrs):
-    return [g.sum(axis=1, keepdims=True)]
-
-
 def _vjp_clip(g, xs, out, attrs):
     x = xs[0]
     return [g * ((x >= attrs["lo"]) & (x <= attrs["hi"]))]
@@ -301,6 +291,113 @@ def _vjp_concat_cols(g, xs, out, attrs):
     return [np.ascontiguousarray(part) for part in np.hsplit(g, offsets)]
 
 
+def _length_groups(lengths: Sequence[int]) -> list[np.ndarray]:
+    """Positions of the lists of each distinct length, lengths in first-seen order."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(lengths):
+        groups.setdefault(n, []).append(i)
+    return [np.array(members) for members in groups.values()]
+
+
+def _mean_in_order(per_list: np.ndarray) -> np.ndarray:
+    """Sequential sum of the per-list losses times ``1.0 / lists``, as (1, 1)."""
+    return np.array([[np.cumsum(per_list)[-1] * (1.0 / per_list.size)]])
+
+
+def _fwd_softsort_logits(xs, attrs):
+    s = xs[0]
+    if s.shape[1] != 1:
+        raise ShapeMismatchError(f"softsort_logits: expected a column vector, got {s.shape}")
+    return np.abs(s[attrs["order"]] - s.T) * attrs["factor"]
+
+
+def _vjp_softsort_logits(g, xs, out, attrs):
+    s, order = xs[0], attrs["order"]
+    # subgradient 0 where a sorted score meets itself or a tie
+    g_dist = g * attrs["factor"] * np.sign(s[order] - s.T)
+    d_sorted = g_dist.sum(axis=1, keepdims=True)
+    ds = np.zeros_like(s)
+    np.add.at(ds, order, d_sorted)
+    return [(-g_dist).sum(axis=0).reshape(-1, 1) + ds]
+
+
+def _perm_xent_group(xs, attrs, members):
+    """Stacked (k, n, n) P_hat, P, the clipped logs' inputs and the (n, 1)
+    position weights of the lists at ``members``."""
+    p_hat = np.stack([xs[i] for i in members])
+    p = np.stack([attrs["perms"][i] for i in members])
+    comp_raw = 1.0 - p_hat
+    clipped = np.clip(p_hat, PROB_EPS, 1.0 - PROB_EPS)
+    comp = np.clip(comp_raw, PROB_EPS, 1.0)
+    w = attrs["weights"][:p_hat.shape[1]].reshape(-1, 1)
+    return p_hat, p, comp_raw, clipped, comp, w
+
+
+def _fwd_perm_xent(xs, attrs):
+    per_list = np.empty(len(xs))
+    for members in _length_groups([x.shape[0] for x in xs]):
+        p_hat, p, _, clipped, comp, w = _perm_xent_group(xs, attrs, members)
+        per_entry = p * np.log(clipped) + (1.0 - p) * np.log(comp)
+        per_list[members] = -(w * per_entry).reshape(len(members), -1).sum(axis=1)
+    return _mean_in_order(per_list)
+
+
+def _vjp_perm_xent(g, xs, out, attrs):
+    c = -(g[0, 0] * (1.0 / len(xs)))
+    grads: list[np.ndarray | None] = [None] * len(xs)
+    for members in _length_groups([x.shape[0] for x in xs]):
+        p_hat, p, comp_raw, clipped, comp, w = _perm_xent_group(xs, attrs, members)
+        g_entry = c * w
+        d_clipped = g_entry * p / clipped * ((p_hat >= PROB_EPS) & (p_hat <= 1.0 - PROB_EPS))
+        d_comp = g_entry * (1.0 - p) / comp * ((comp_raw >= PROB_EPS) & (comp_raw <= 1.0))
+        d_p_hat = d_clipped - d_comp
+        for k, i in enumerate(members):
+            grads[i] = d_p_hat[k]
+    return grads
+
+
+def _listnet_group(s, attrs, rows):
+    """Softmax of the scores and of the labels over each row of ``rows``,
+    a (k, n) index block of equal-length lists."""
+    x = s[rows, 0]
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    q = e / e.sum(axis=1, keepdims=True)
+    y = attrs["labels"][rows]
+    shifted = np.exp(y - y.max(axis=1, keepdims=True))
+    return q, shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def _span_blocks(spans):
+    """(members, (k, n) row indices) per distinct span length."""
+    starts = np.array([a for a, _ in spans])
+    for members in _length_groups([b - a for a, b in spans]):
+        n = spans[members[0]][1] - spans[members[0]][0]
+        yield members, starts[members][:, None] + np.arange(n)
+
+
+def _fwd_listnet(xs, attrs):
+    s, spans = xs[0], attrs["spans"]
+    if s.shape[1] != 1:
+        raise ShapeMismatchError(f"listnet: expected a column vector, got {s.shape}")
+    per_list = np.empty(len(spans))
+    for members, rows in _span_blocks(spans):
+        q, target = _listnet_group(s, attrs, rows)
+        per_list[members] = -(target * np.log(np.clip(q, PROB_EPS, 1.0))).sum(axis=1)
+    return _mean_in_order(per_list)
+
+
+def _vjp_listnet(g, xs, out, attrs):
+    s, spans = xs[0], attrs["spans"]
+    c = -(g[0, 0] * (1.0 / len(spans)))
+    ds = np.zeros_like(s)
+    for members, rows in _span_blocks(spans):
+        q, target = _listnet_group(s, attrs, rows)
+        d_q = c * target / np.clip(q, PROB_EPS, 1.0) * ((q >= PROB_EPS) & (q <= 1.0))
+        dot = (d_q * q).sum(axis=1, keepdims=True)
+        ds[rows, 0] += q * (d_q - dot)
+    return [ds]
+
+
 OPS: dict[str, _OpDef] = {
     "add": _OpDef(2, _fwd_add, _vjp_add),
     "sub": _OpDef(2, _fwd_sub, _vjp_sub),
@@ -308,7 +405,6 @@ OPS: dict[str, _OpDef] = {
     "matmul": _OpDef(2, _fwd_matmul, _vjp_matmul),
     "scale": _OpDef(1, _fwd_scale, _vjp_scale),
     "neg": _OpDef(1, _fwd_neg, _vjp_neg),
-    "abs": _OpDef(1, _fwd_abs, _vjp_abs),
     "log": _OpDef(1, _fwd_log, _vjp_log),
     "sigmoid": _OpDef(1, _fwd_sigmoid, _vjp_sigmoid),
     "relu": _OpDef(1, _fwd_relu, _vjp_relu),
@@ -317,9 +413,11 @@ OPS: dict[str, _OpDef] = {
     "max_rows": _OpDef(1, _fwd_max_rows, _vjp_max_rows),
     "gather_rows": _OpDef(1, _fwd_gather_rows, _vjp_gather_rows),
     "broadcast_row": _OpDef(1, _fwd_broadcast_row, _vjp_broadcast_row),
-    "broadcast_col": _OpDef(1, _fwd_broadcast_col, _vjp_broadcast_col),
     "clip": _OpDef(1, _fwd_clip, _vjp_clip),
     "concat_cols": _OpDef(None, _fwd_concat_cols, _vjp_concat_cols),
+    "softsort_logits": _OpDef(1, _fwd_softsort_logits, _vjp_softsort_logits),
+    "perm_xent": _OpDef(None, _fwd_perm_xent, _vjp_perm_xent),
+    "listnet": _OpDef(1, _fwd_listnet, _vjp_listnet),
 }
 
 

@@ -262,25 +262,11 @@ class SharedBottomModel:
         cols = self.task_columns(graph, batch, pt)
         return cols, label_matrix(samples), spans, pt
 
-    def _listwise_losses(
-        self,
-        agg_col: Tensor,
-        agg_labels: np.ndarray,
-        spans: Sequence[tuple[int, int]],
-        use_listnet: bool,
-    ) -> Tensor:
-        """Sum of the per-impression listwise losses over the batch."""
-        total: Tensor | None = None
-        for a, b in spans:
-            s = fn.gather_rows(agg_col, range(a, b))
-            scores = agg_labels[a:b]
-            if use_listnet:
-                term = listnet_loss(s, scores)
-            else:
-                term = sort_loss(soft_sort(s, self.config.tau), label_permutation(scores))
-            total = term if total is None else fn.add(total, term)
-        assert total is not None
-        return total
+    def _sort_loss(self, col: Tensor, labels: np.ndarray,
+                   spans: Sequence[tuple[int, int]]) -> Tensor:
+        """Mean over the batch's impressions of the SoftSort sort loss of ``col``."""
+        p_hats = [soft_sort(fn.gather_rows(col, range(a, b)), self.config.tau) for a, b in spans]
+        return sort_loss(p_hats, [label_permutation(labels[a:b]) for a, b in spans])
 
     def loss_components(
         self,
@@ -296,9 +282,10 @@ class SharedBottomModel:
         task_terms = [TASK_LOSSES[kind](cols[t], labels[:, t], spans)
                       for t, kind in enumerate(self.task_losses)]
         agg_col = aggregate_columns(self.config.aggregator, cols, pt.get("agg/w"))
-        listwise = self._listwise_losses(agg_col, aggregate_labels(labels), spans,
-                                         use_listnet=self.config.kind == "mtl_listnet")
-        return task_terms, fn.scale(listwise, 1.0 / len(spans))
+        depth = aggregate_labels(labels)
+        if self.config.kind == "mtl_listnet":
+            return task_terms, listnet_loss(agg_col, depth, spans)
+        return task_terms, self._sort_loss(agg_col, depth, spans)
 
     def batch_loss(
         self,
@@ -333,8 +320,7 @@ class SharedBottomModel:
         combined = aggregate_labels(labels)
         if kind == "dnn_pairwise":
             return ranknet_loss(cols[0], combined, spans)
-        return fn.scale(self._listwise_losses(cols[0], combined, spans, use_listnet=False),
-                        1.0 / len(spans))
+        return self._sort_loss(cols[0], combined, spans)
 
     # ---------------------------------------------------------------- scoring
 

@@ -13,11 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .gradcore import Tensor, fn
-from .gradcore.tensor import ShapeMismatchError, as_matrix
-
-# Probability clip applied before every logarithm: the permutation
-# cross-entropy is undefined at exact 0/1 and soft probabilities underflow.
-PROB_EPS = 1e-12
+from .gradcore.tensor import PROB_EPS, ShapeMismatchError, as_matrix
 
 
 def argsort_desc(s: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -54,19 +50,14 @@ def soft_sort(s: Tensor, tau: float) -> Tensor:
     descending-sorted scores and the raw scores: row i is the softmax of
     -|sorted(s)[i] - s[j]| / tau over j.  The hard sort inside is a gather by
     the argsort permutation, treated as locally constant, so the result is
-    differentiable w.r.t. ``s`` almost everywhere.
+    differentiable w.r.t. ``s`` almost everywhere.  Two tape nodes: the fused
+    ``softsort_logits`` and ``softmax_rows``.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if s.cols != 1:
         raise ShapeMismatchError(f"soft_sort expects an (n, 1) score tensor, got {s.shape}")
-    n = s.rows
-    sorted_s = fn.gather_rows(s, argsort_desc(s.value[:, 0]))
-    left = fn.broadcast_col(sorted_s, n)   # (i, j) = sorted[i]
-    right = fn.broadcast_row(s, n)         # (i, j) = s[j]
-    dist = fn.abs_(fn.sub(left, right))
-    logits = fn.scale(dist, -1.0 / tau)
-    return fn.softmax_rows(logits)
+    return fn.softmax_rows(fn.softsort_logits(s, argsort_desc(s.value[:, 0]), tau))
 
 
 def is_unimodal_row_stochastic(m: Tensor | np.ndarray,
@@ -98,29 +89,24 @@ def ndcg_position_weights(n: int) -> np.ndarray:
     return np.array([1.0 / math.log2(i + 2) for i in range(n)])
 
 
-def sort_loss(p_hat: Tensor, p: np.ndarray) -> Tensor:
-    """Position-weighted cross-entropy between a URS matrix and a hard permutation.
+def sort_loss(p_hats: Sequence[Tensor], perms: Sequence[np.ndarray]) -> Tensor:
+    """Position-weighted cross-entropy between URS matrices and hard
+    permutations, one pair per list, averaged over the lists.
 
+    Each list contributes
     -sum_i w[i] * sum_j [P[i,j] log P_hat[i,j] + (1 - P[i,j]) log(1 - P_hat[i,j])],
     with w = ``ndcg_position_weights(n)`` and P_hat clipped to
-    [1e-12, 1 - 1e-12] before the logs.
+    [1e-12, 1 - 1e-12] before the logs.  One ``perm_xent`` tape node.
     """
-    n = p_hat.rows
-    if p_hat.shape != (n, n) or p.shape != (n, n):
-        raise ShapeMismatchError(f"sort_loss: sizes differ (P_hat {p_hat.shape}, P {p.shape})")
-    g = p_hat.graph
-    p_const = g.tensor(p)
-    p_comp = g.tensor(1.0 - p)
-    w_col = g.tensor(ndcg_position_weights(n).reshape(-1, 1))
-
-    clipped = fn.clip(p_hat, PROB_EPS, 1.0 - PROB_EPS)
-    comp = fn.clip(fn.sub(g.tensor(np.ones((n, n))), p_hat), PROB_EPS, 1.0)
-    per_entry = fn.add(
-        fn.mul_elem(p_const, fn.log(clipped)),
-        fn.mul_elem(p_comp, fn.log(comp)),
-    )
-    weighted = fn.mul_elem(fn.broadcast_col(w_col, n), per_entry)
-    return fn.neg(fn.sum_all(weighted))
+    if len(p_hats) != len(perms) or not p_hats:
+        raise ValueError(f"sort_loss: {len(p_hats)} P_hat matrices for {len(perms)} permutations")
+    for p_hat, p in zip(p_hats, perms):
+        n = p_hat.rows
+        if p_hat.shape != (n, n) or p.shape != (n, n):
+            raise ShapeMismatchError(
+                f"sort_loss: sizes differ (P_hat {p_hat.shape}, P {p.shape})")
+    n_max = max(p_hat.rows for p_hat in p_hats)
+    return fn.perm_xent(p_hats, perms, ndcg_position_weights(n_max))
 
 
 def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
@@ -174,16 +160,14 @@ def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
     return fn.sum_all(fn.mul_elem(g.tensor(np.concatenate(weights).reshape(-1, 1)), losses))
 
 
-def listnet_loss(s: Tensor, y: Sequence[float] | np.ndarray) -> Tensor:
-    """Top-1 listwise loss: cross-entropy between softmax(y) and softmax(s)."""
+def listnet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
+                 spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
+    """Top-1 listwise loss: the cross-entropy between softmax(y) and
+    softmax(s) within each impression span ``(start, stop)``, averaged over
+    spans (the whole list is one span by default).  One ``listnet`` tape node."""
     if s.cols != 1:
         raise ShapeMismatchError(f"listnet_loss expects an (n, 1) score tensor, got {s.shape}")
-    yv = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    if yv.shape[1] != s.rows:
-        raise ShapeMismatchError(f"listnet_loss: {s.rows} scores vs {yv.shape[1]} labels")
-    g = s.graph
-    shifted = np.exp(yv - yv.max())
-    target = g.tensor(shifted / shifted.sum())
-    s_row = fn.broadcast_row(s, 1)
-    q = fn.softmax_rows(s_row)
-    return fn.neg(fn.sum_all(fn.mul_elem(target, fn.log(fn.clip(q, PROB_EPS, 1.0)))))
+    yv = np.asarray(y, dtype=np.float64).reshape(-1)
+    if yv.size != s.rows:
+        raise ShapeMismatchError(f"listnet_loss: {s.rows} scores vs {yv.size} labels")
+    return fn.listnet(s, yv, [(0, s.rows)] if spans is None else spans)

@@ -150,7 +150,7 @@ def test_criterion_5_sort_loss_optimality():
             true_z = tuple(argsort_desc(s))
             best = min(
                 itertools.permutations(range(n)),
-                key=lambda z: sort_loss(p_hat, perm_matrix(z)).item(),
+                key=lambda z: sort_loss([p_hat], [perm_matrix(z)]).item(),
             )
             assert best == true_z, f"trial {trial}: minimized at {best}, not {true_z}"
 

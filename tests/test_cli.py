@@ -6,6 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import mtlds.cli as cli_mod
 from mtlds.cli import experiment_hash, load_experiment_config, main
 from mtlds.data import load_dataset
 from mtlds.model import CHECKPOINT_MAGIC, MODEL_KINDS, CheckpointError, load_checkpoint
@@ -155,6 +156,19 @@ class TestEval:
                                       "--rank-by", rank_by])
         assert result.exit_code == 2, result.output
         assert message in result.output
+
+    @pytest.mark.parametrize("cutoffs", ["0", "-3,2"])
+    def test_non_positive_cutoff_exits_2_before_loading(self, trained, monkeypatch, cutoffs):
+        ckpt, data_path = trained
+
+        def not_reached(path):
+            raise AssertionError("checkpoint loaded before the cutoffs were checked")
+
+        monkeypatch.setattr(cli_mod, "load_checkpoint", not_reached)
+        result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--data", str(data_path),
+                                      "--cutoffs", cutoffs])
+        assert result.exit_code == 2, result.output
+        assert "cutoffs must be positive integers" in result.output
 
     def test_eval_checkpoint_on_written_dataset(self, tmp_path):
         config = write_config(tmp_path)

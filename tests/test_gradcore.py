@@ -7,6 +7,7 @@ from mtlds.gradcore import (
     DomainError,
     Graph,
     GraphStateError,
+    OPS,
     NondeterministicFunctionError,
     ShapeMismatchError,
     adam_step,
@@ -199,9 +200,15 @@ def test_every_registry_op_passes_grad_check_on_20_inputs():
     from mtlds.checks import check_registry_ops
 
     results = check_registry_ops(trials=20, seed=7)
-    assert len(results) == 18  # every differentiable op tag
+    assert len(results) == 19  # every differentiable op tag
     for r in results:
         assert r.worst < 1e-4, f"{r.name}: worst relative error {r.worst:.2e}"
+
+
+def test_op_cases_cover_every_registry_op():
+    from mtlds.checks import _op_cases
+
+    assert set(_op_cases(np.random.default_rng(0))) == set(OPS)
 
 
 class TestAdam:

@@ -281,6 +281,28 @@ def test_batch_loss_and_gradients_match_pinned_values(case):
         npt.assert_allclose(grads[pt[name].node_id].sum(), expected, rtol=1e-12, atol=0,
                             err_msg=name)
 
+class TestTapeSize:
+    """The sort loss costs at most three tape nodes per list (the list's
+    gather, the SoftSort logits and the row softmax) plus one node per batch;
+    ListNet costs one node per batch whatever the list count."""
+
+    @staticmethod
+    def nodes(kind, lists):
+        model = SharedBottomModel(tiny_schema(), small_config(kind=kind))
+        rows = [(1, 1), (0, 0), (1, 0), (0, 0), (1, 0)]  # both tasks have ordered pairs
+        batch = [make_impression(f"imp{i}", rows[:2 + i % 4], seed=i) for i in range(lists)]
+        g = Graph()
+        model.batch_loss(g, batch)
+        return len(g)
+
+    @pytest.mark.parametrize("kind", ["mtlds", "dnn_diffsort"])
+    def test_sort_loss_adds_at_most_three_nodes_per_list(self, kind):
+        assert self.nodes(kind, 64) <= self.nodes(kind, 1) + 3 * 63
+
+    def test_listnet_node_count_is_fixed(self):
+        assert self.nodes("mtl_listnet", 64) == self.nodes("mtl_listnet", 1)
+
+
 class TestHardParameterSharing:
     def _outputs(self, model):
         return task_probs(model, IMP.samples)

@@ -184,7 +184,7 @@ class TestSortLoss:
     def test_perfect_prediction_near_zero(self):
         g = Graph()
         p_hat = soft_sort(g.tensor([1.0]), tau=1.0)  # single row: exactly 1.0
-        loss = sort_loss(p_hat, perm_matrix((0,)))
+        loss = sort_loss([p_hat], [perm_matrix((0,))])
         assert 0.0 <= loss.item() < 1e-10
 
     def test_uniform_prediction_closed_form(self):
@@ -193,7 +193,7 @@ class TestSortLoss:
         from mtlds.gradcore import fn
         p_hat = fn.softmax_rows(g.tensor(np.zeros((2, 2))))
         w = ndcg_position_weights(2)
-        loss = sort_loss(p_hat, perm_matrix((1, 0)))
+        loss = sort_loss([p_hat], [perm_matrix((1, 0))])
         expected = 2.0 * math.log(2.0) * (w[0] + w[1])
         assert abs(loss.item() - expected) < 1e-9
 
@@ -201,13 +201,26 @@ class TestSortLoss:
         g = Graph()
         p_hat = soft_sort(g.tensor([1.0, 2.0]), tau=1.0)
         with pytest.raises(Exception, match="size"):
-            sort_loss(p_hat, perm_matrix((0, 1, 2)))
+            sort_loss([p_hat], [perm_matrix((0, 1, 2))])
+
+    def test_mean_over_lists_of_mixed_sizes(self):
+        rng = np.random.default_rng(11)
+        g = Graph()
+        sizes = (3, 5, 3)
+        p_hats = [soft_sort(g.tensor(rng.standard_normal(n)), tau=0.5) for n in sizes]
+        perms = [perm_matrix(rng.permutation(n)) for n in sizes]
+        single = [sort_loss([p_hat], [p]).item() for p_hat, p in zip(p_hats, perms)]
+        assert sort_loss(p_hats, perms).item() == (single[0] + single[1] + single[2]) * (1.0 / 3)
+
+    def test_no_lists_rejected(self):
+        with pytest.raises(ValueError, match="0 P_hat"):
+            sort_loss([], [])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         s = spread_scores(rng, 6, min_gap=0.02)
         p = perm_matrix(argsort_desc(rng.standard_normal(6)))
-        err = grad_check(lambda t: sort_loss(soft_sort(t, 1.0), p), s.reshape(-1, 1))
+        err = grad_check(lambda t: sort_loss([soft_sort(t, 1.0)], [p]), s.reshape(-1, 1))
         assert err < 1e-4
 
     def test_minimized_at_true_argsort_permutation(self):
@@ -219,7 +232,7 @@ class TestSortLoss:
                 p_hat = soft_sort(Graph().tensor(s), tau=1.0)
                 true_z = tuple(argsort_desc(s))
                 losses = {
-                    z: sort_loss(p_hat, perm_matrix(z)).item()
+                    z: sort_loss([p_hat], [perm_matrix(z)]).item()
                     for z in itertools.permutations(range(n))
                 }
                 assert min(losses, key=losses.get) == true_z
@@ -320,6 +333,15 @@ class TestListnetLoss:
         s = rng.standard_normal((5, 1))
         y = rng.standard_normal(5)
         assert grad_check(lambda t: listnet_loss(t, y), s) < 1e-4
+
+    def test_mean_over_spans(self):
+        rng = np.random.default_rng(12)
+        s = rng.standard_normal(10)
+        y = rng.standard_normal(10)
+        spans = [(0, 3), (3, 7), (7, 10)]
+        single = [listnet_loss(Graph().tensor(s[a:b]), y[a:b]).item() for a, b in spans]
+        loss = listnet_loss(Graph().tensor(s), y, spans).item()
+        assert loss == (single[0] + single[1] + single[2]) * (1.0 / 3)
 
 
 @settings(max_examples=50, deadline=None)
