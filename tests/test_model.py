@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -280,6 +282,34 @@ def test_batch_loss_and_gradients_match_pinned_values(case):
     for name, expected in expected_sums.items():
         npt.assert_allclose(grads[pt[name].node_id].sum(), expected, rtol=1e-12, atol=0,
                             err_msg=name)
+
+
+# ranking_scores on PIN_BATCH, recorded in fixtures/scores.npz; a scoring
+# refactor must reproduce every value bit for bit.  Re-record (only when the
+# score arithmetic changes on purpose):  PYTHONPATH=src python tests/test_model.py
+SCORES_FIXTURE = Path(__file__).parent / "fixtures" / "scores.npz"
+SCORE_CONFIGS = dict(PIN_CONFIGS)
+SCORE_CONFIGS.update({f"mtlds-{op}": {"kind": "mtlds", "aggregator": op}
+                      for op in ("mul", "max", "add")})
+RANK_BYS = ("aggregate", "task:purchase")
+
+
+def ranking_score_arrays(case: str) -> dict[str, np.ndarray]:
+    """Per-impression scores of ``case`` under each of ``RANK_BYS``, keyed for the fixture."""
+    model = SharedBottomModel(tiny_schema(dense=1), small_config(**SCORE_CONFIGS[case]))
+    return {f"{case}/{rank_by}/{i}": scores
+            for rank_by in RANK_BYS
+            for i, scores in enumerate(model.ranking_scores(PIN_BATCH, rank_by=rank_by))}
+
+
+@pytest.mark.parametrize("case", list(SCORE_CONFIGS))
+def test_ranking_scores_match_recording(case):
+    recorded = np.load(SCORES_FIXTURE)
+    current = ranking_score_arrays(case)
+    assert set(current) == {k for k in recorded.files if k.startswith(f"{case}/")}
+    for key, value in current.items():
+        assert np.array_equal(value, recorded[key]), f"{key} differs from the recording"
+
 
 class TestTapeSize:
     """The sort loss costs at most three tape nodes per list (the list's
@@ -565,3 +595,11 @@ class TestConfigSerialization:
                 ModelConfig(kind=kind, aggregator="bogus")
         with pytest.raises(ValueError, match="tau"):
             ModelConfig(tau=-1.0)
+
+
+if __name__ == "__main__":
+    arrays = {}
+    for case in SCORE_CONFIGS:
+        arrays.update(ranking_score_arrays(case))
+    np.savez(SCORES_FIXTURE, **arrays)
+    print(f"wrote {len(arrays)} arrays to {SCORES_FIXTURE}")
