@@ -12,7 +12,7 @@ Library layout:
 * ``cli``         command-line interface (``mtlds`` entry point)
 """
 
-from .aggregate import LabelSequence, aggregate_columns, aggregate_labels, aggregate_predictions
+from .aggregate import LabelSequence, aggregate_columns, aggregate_labels
 from .data import (Dataset, Impression, Sample, Schema, SynthConfig, label_matrix, load_dataset,
                    synthesize)
 from .evaluation import MetricReport, auc, ndcg_at_k
@@ -43,7 +43,6 @@ __all__ = [
     "TrainReport",
     "aggregate_columns",
     "aggregate_labels",
-    "aggregate_predictions",
     "argsort_desc",
     "auc",
     "evaluate_model",

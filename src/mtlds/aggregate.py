@@ -78,18 +78,6 @@ def aggregate_columns(
     return fn.matmul(fn.concat_cols(cols), weight)
 
 
-def aggregate_predictions(
-    kind: str,
-    l_hat: Tensor,
-    weight: Tensor | None = None,
-) -> Tensor:
-    """Aggregate one sample's (T, 1) per-task probabilities to a scalar score."""
-    if l_hat.cols != 1:
-        raise ShapeMismatchError(f"expected a (T, 1) probability tensor, got {l_hat.shape}")
-    rows = [fn.gather_rows(l_hat, [t]) for t in range(l_hat.rows)]
-    return aggregate_columns(kind, rows, weight)
-
-
 def aggregate_labels(labels: np.ndarray) -> np.ndarray:
     """Row sums of an (n, T) label matrix: each item's behavior depth, the
     length of its user's behavior prefix."""

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregate import LabelSequence, aggregate_predictions, label_permutation
+from .aggregate import LabelSequence, aggregate_columns, label_permutation
 from .data import FieldSpec, Impression, Sample, Schema
 from .gradcore import Graph, Tensor, fn, grad_check
 from .model import MODEL_KINDS, ModelConfig, SharedBottomModel
@@ -92,7 +92,6 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
         "mul_elem": (lambda x: fn.mul_elem(x, x.graph.tensor(k34)), rng.standard_normal((3, 4))),
         "matmul": (lambda x: fn.matmul(x, x.graph.tensor(k42)), rng.standard_normal((3, 4))),
         "scale": (lambda x: fn.scale(x, -1.7), rng.standard_normal((3, 4))),
-        "neg": (lambda x: fn.neg(x), rng.standard_normal((3, 4))),
         "log": (lambda x: fn.log(x), rng.uniform(0.5, 2.0, (3, 4))),
         "sigmoid": (lambda x: fn.sigmoid(x), rng.standard_normal((3, 4))),
         "relu": (lambda x: fn.relu(x), _away_from(rng, (3, 4), [0.0])),
@@ -183,7 +182,8 @@ def check_aggregators(trials: int = 20, seed: int = 2, tol: float = 1e-5) -> lis
 
             def f(t: Tensor, w_=w) -> Tensor:
                 weight = None if w_ is None else t.graph.tensor(w_)
-                return aggregate_predictions(kind, t, weight)
+                return aggregate_columns(kind, [fn.gather_rows(t, [i]) for i in range(t.rows)],
+                                         weight)
 
             worst = max(worst, grad_check(f, l_hat))
         results.append(CheckResult(f"aggregate:{kind}", worst, tol))

@@ -12,18 +12,19 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import click
 import numpy as np
 import yaml
 
-from .aggregate import aggregate_predictions
+from .aggregate import aggregate_columns
 from .checks import run_all_checks
 from .data import (
     Dataset,
     DatasetFormatError,
+    Schema,
     SynthConfig,
     atomic_open,
     label_matrix,
@@ -39,7 +40,6 @@ from .model import (
     DivergenceError,
     ModelConfig,
     config_from_dict,
-    config_to_dict,
     evaluate_model,
     fit,
     load_checkpoint,
@@ -131,16 +131,9 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def experiment_hash(cfg: ExperimentConfig) -> str:
-    payload = {
-        "model": config_to_dict(cfg.model),
-        "synth": asdict(cfg.synth) if cfg.synth else None,
-        "dataset_path": cfg.dataset_path,
-        "split": list(cfg.split),
-        "cutoffs": list(cfg.cutoffs),
-        "seeds": list(cfg.seeds),
-        "rank_by": cfg.rank_by,
-        "gain": cfg.gain,
-    }
+    """Short hash of every config field except the output directory."""
+    payload = asdict(cfg)
+    del payload["out_dir"]
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -204,8 +197,7 @@ def cmd_synth(config_path: str, out_path: str) -> None:
 
 def _single_seed_run(cfg: ExperimentConfig, source: Dataset, seed: int, out_dir: Path):
     train_ds, valid_ds, test_ds = split(source, cfg.split, seed=seed)
-    run_config = config_from_dict({**config_to_dict(cfg.model), "seed": seed})
-    model, report = fit(run_config, train_ds, valid_ds)
+    model, report = fit(replace(cfg.model, seed=seed), train_ds, valid_ds)
     metrics = evaluate_model(model, test_ds, cutoffs=cfg.cutoffs,
                              rank_by=cfg.rank_by, gain=cfg.gain)
     seed_dir = out_dir / f"seed{seed}"
@@ -290,17 +282,9 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
     click.echo(f"reports under {out_dir}")
 
 
-def _schema_mismatches(a, b) -> list[str]:
-    out = []
-    if a.user_fields != b.user_fields:
-        out.append(f"user_fields {a.user_fields} != {b.user_fields}")
-    if a.item_fields != b.item_fields:
-        out.append(f"item_fields {a.item_fields} != {b.item_fields}")
-    if a.dense_count != b.dense_count:
-        out.append(f"dense_count {a.dense_count} != {b.dense_count}")
-    if a.tasks != b.tasks:
-        out.append(f"tasks {a.tasks} != {b.tasks}")
-    return out
+def _schema_mismatches(a: Schema, b: Schema) -> list[str]:
+    return [f"{f.name} {getattr(a, f.name)} != {getattr(b, f.name)}"
+            for f in fields(Schema) if getattr(a, f.name) != getattr(b, f.name)]
 
 
 @main.command("eval")
@@ -369,12 +353,11 @@ def table1_values() -> list[tuple[float, float, float, float]]:
     """Mul / Sum(1:1) / Sum(3:2) / Max scores for the four demo prediction pairs."""
     columns = (("mul", None), ("linear", (1.0, 1.0)), ("linear", (3.0, 2.0)), ("max", None))
     out = []
-    for p_click, p_post in TABLE1_ROWS:
+    for row in TABLE1_ROWS:
         g = Graph()
-        l_hat = g.tensor([p_click, p_post])
-        out.append(tuple(
-            aggregate_predictions(kind, l_hat, None if w is None else g.tensor(w)).item()
-            for kind, w in columns))
+        cols = [g.tensor(p) for p in row]
+        out.append(tuple(aggregate_columns(kind, cols, None if w is None else g.tensor(w)).item()
+                         for kind, w in columns))
     return out
 
 

@@ -29,10 +29,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return x.graph.apply("scale", [x], factor=float(factor))
 
 
-def neg(x: Tensor) -> Tensor:
-    return x.graph.apply("neg", [x])
-
-
 def log(x: Tensor) -> Tensor:
     return x.graph.apply("log", [x])
 

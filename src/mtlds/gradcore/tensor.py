@@ -58,34 +58,29 @@ def as_matrix(values) -> np.ndarray:
 class Tensor:
     """Immutable 2-D value registered on a computation graph."""
 
-    __slots__ = ("graph", "node_id", "data")
+    __slots__ = ("graph", "node_id", "value")
 
-    def __init__(self, graph: "Graph", node_id: int, data: np.ndarray):
+    def __init__(self, graph: "Graph", node_id: int, value: np.ndarray):
         self.graph = graph
         self.node_id = node_id
-        self.data = data
+        self.value = value  # forward value, a read-only array
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.data.shape  # type: ignore[return-value]
+        return self.value.shape  # type: ignore[return-value]
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.value.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def value(self) -> np.ndarray:
-        """Forward value (read-only array)."""
-        return self.data
+        return self.value.shape[1]
 
     def item(self) -> float:
         if self.shape != (1, 1):
             raise ShapeMismatchError(f"item() needs a (1, 1) tensor, got {self.shape}")
-        return float(self.data[0, 0])
+        return float(self.value[0, 0])
 
     def __repr__(self) -> str:
         op = self.graph.node_op(self.node_id)
@@ -147,10 +142,6 @@ def _fwd_matmul(xs, attrs):
 
 def _fwd_scale(xs, attrs):
     return xs[0] * attrs["factor"]
-
-
-def _fwd_neg(xs, attrs):
-    return -xs[0]
 
 
 def _fwd_log(xs, attrs):
@@ -235,10 +226,6 @@ def _vjp_matmul(g, xs, out, attrs):
 
 def _vjp_scale(g, xs, out, attrs):
     return [g * attrs["factor"]]
-
-
-def _vjp_neg(g, xs, out, attrs):
-    return [-g]
 
 
 def _vjp_log(g, xs, out, attrs):
@@ -404,7 +391,6 @@ OPS: dict[str, _OpDef] = {
     "mul_elem": _OpDef(2, _fwd_mul_elem, _vjp_mul_elem),
     "matmul": _OpDef(2, _fwd_matmul, _vjp_matmul),
     "scale": _OpDef(1, _fwd_scale, _vjp_scale),
-    "neg": _OpDef(1, _fwd_neg, _vjp_neg),
     "log": _OpDef(1, _fwd_log, _vjp_log),
     "sigmoid": _OpDef(1, _fwd_sigmoid, _vjp_sigmoid),
     "relu": _OpDef(1, _fwd_relu, _vjp_relu),
@@ -465,7 +451,7 @@ class Graph:
         for t in inputs:
             if t.graph is not self:
                 raise GraphStateError(f"{op_tag}: input tensor belongs to a different graph")
-        out = opdef.forward([t.data for t in inputs], attrs)
+        out = opdef.forward([t.value for t in inputs], attrs)
         return self._register(op_tag, tuple(t.node_id for t in inputs), out, attrs)
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:

@@ -186,20 +186,20 @@ class SharedBottomModel:
             # one extra row reserved for out-of-vocabulary ids
             self.params[f"emb/{spec.name}"] = 0.1 * rng.standard_normal(
                 (spec.cardinality + 1, cfg.embedding_dim))
+
+        def dense(prefix: str, fan_in: int, width: int, gain: float = 2.0) -> int:
+            self.params[f"{prefix}/W"] = rng.standard_normal((fan_in, width)) * np.sqrt(gain / fan_in)
+            self.params[f"{prefix}/b"] = np.zeros((width, 1))
+            return width
+
         fan_in = self.input_dim
         for i, width in enumerate(cfg.shared_layers):
-            self.params[f"shared/{i}/W"] = rng.standard_normal((fan_in, width)) * np.sqrt(2.0 / fan_in)
-            self.params[f"shared/{i}/b"] = np.zeros((width, 1))
-            fan_in = width
+            fan_in = dense(f"shared/{i}", fan_in, width)
         for t in range(self.tower_count):
             dim = fan_in
             for i, width in enumerate(cfg.tower_layers):
-                self.params[f"tower/{t}/{i}/W"] = rng.standard_normal((dim, width)) * np.sqrt(2.0 / dim)
-                self.params[f"tower/{t}/{i}/b"] = np.zeros((width, 1))
-                dim = width
-            head = len(cfg.tower_layers)
-            self.params[f"tower/{t}/{head}/W"] = rng.standard_normal((dim, 1)) * np.sqrt(1.0 / dim)
-            self.params[f"tower/{t}/{head}/b"] = np.zeros((1, 1))
+                dim = dense(f"tower/{t}/{i}", dim, width)
+            dense(f"tower/{t}/{len(cfg.tower_layers)}", dim, 1, gain=1.0)
         if cfg.kind in AGGREGATED_KINDS and cfg.aggregator == "linear":
             self.params["agg/w"] = np.ones((self.tower_count, 1))
 
@@ -220,22 +220,19 @@ class SharedBottomModel:
                  for spec in self.schema.cat_fields]
         if self.schema.dense_count:
             parts.append(graph.tensor(batch.dense))
+
+        def dense(h: Tensor, prefix: str) -> Tensor:
+            return fn.add(fn.matmul(h, pt[f"{prefix}/W"]), fn.broadcast_row(pt[f"{prefix}/b"], n))
+
         x = fn.concat_cols(parts)
         for i in range(len(self.config.shared_layers)):
-            pre = fn.add(fn.matmul(x, pt[f"shared/{i}/W"]),
-                         fn.broadcast_row(pt[f"shared/{i}/b"], n))
-            x = fn.relu(pre)
+            x = fn.relu(dense(x, f"shared/{i}"))
         cols = []
         for t in range(self.tower_count):
             h = x
             for i in range(len(self.config.tower_layers)):
-                pre = fn.add(fn.matmul(h, pt[f"tower/{t}/{i}/W"]),
-                             fn.broadcast_row(pt[f"tower/{t}/{i}/b"], n))
-                h = fn.relu(pre)
-            head = len(self.config.tower_layers)
-            logit = fn.add(fn.matmul(h, pt[f"tower/{t}/{head}/W"]),
-                           fn.broadcast_row(pt[f"tower/{t}/{head}/b"], n))
-            cols.append(fn.sigmoid(logit))
+                h = fn.relu(dense(h, f"tower/{t}/{i}"))
+            cols.append(fn.sigmoid(dense(h, f"tower/{t}/{len(self.config.tower_layers)}")))
         return cols
 
     # ------------------------------------------------------------------ losses
@@ -281,11 +278,10 @@ class SharedBottomModel:
         cols, labels, spans, pt = self._columns_and_labels(graph, impressions, params_t)
         task_terms = [TASK_LOSSES[kind](cols[t], labels[:, t], spans)
                       for t, kind in enumerate(self.task_losses)]
-        agg_col = aggregate_columns(self.config.aggregator, cols, pt.get("agg/w"))
-        depth = aggregate_labels(labels)
+        score, depth = self.score(cols, pt), aggregate_labels(labels)
         if self.config.kind == "mtl_listnet":
-            return task_terms, listnet_loss(agg_col, depth, spans)
-        return task_terms, self._sort_loss(agg_col, depth, spans)
+            return task_terms, listnet_loss(score, depth, spans)
+        return task_terms, self._sort_loss(score, depth, spans)
 
     def batch_loss(
         self,
@@ -308,13 +304,12 @@ class SharedBottomModel:
             task_terms, listwise = self.loss_components(graph, impressions, params_t)
             return fn.add(reduce(fn.add, task_terms),
                           fn.scale(listwise, self.config.sort_loss_weight))
-        cols, labels, spans, _ = self._columns_and_labels(graph, impressions, params_t)
+        cols, labels, spans, pt = self._columns_and_labels(graph, impressions, params_t)
         kind = self.config.kind
         if kind in ("esmm", "esmm_pairwise"):
             task_loss = bce_loss if kind == "esmm" else ranknet_loss
-            p_both = fn.mul_elem(cols[0], cols[1])
             return fn.add(task_loss(cols[0], labels[:, 0], spans),
-                          task_loss(p_both, labels[:, 0] * labels[:, -1], spans))
+                          task_loss(self.score(cols, pt), labels[:, 0] * labels[:, -1], spans))
         if kind == "dnn_pointwise":
             return bce_loss(cols[0], labels[:, -1], spans)
         combined = aggregate_labels(labels)
@@ -324,18 +319,22 @@ class SharedBottomModel:
 
     # ---------------------------------------------------------------- scoring
 
+    def score(self, cols: list[Tensor], params_t: dict[str, Tensor]) -> Tensor:
+        """The unified score: the aggregation operator over the tower columns.
+
+        The operator is the configured aggregator for mtlds/mtl_listnet and
+        ``mul`` for every other kind: ESMM's click * conversion product
+        (pCTCVR) over two towers, the tower's own column over one.
+        """
+        op = self.config.aggregator if self.config.kind in AGGREGATED_KINDS else "mul"
+        return aggregate_columns(op, cols, params_t.get("agg/w"))
+
     def _score_column(self, cols: list[Tensor], rank_by: str,
                       params_t: dict[str, Tensor]) -> Tensor:
         task = rank_by_task(rank_by, self.schema.tasks)
         if task is None:
-            if self.config.kind in AGGREGATED_KINDS:
-                return aggregate_columns(self.config.aggregator, cols, params_t.get("agg/w"))
-            if len(cols) == 2:  # esmm kinds: the click * conversion product
-                return fn.mul_elem(cols[0], cols[1])
-            return cols[0]
-        if self.tower_count == 1:
-            return cols[0]
-        return cols[self.schema.tasks.index(task)]
+            return self.score(cols, params_t)
+        return cols[0] if self.tower_count == 1 else cols[self.schema.tasks.index(task)]
 
     def ranking_scores(
         self,

@@ -126,7 +126,7 @@ def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
     pos = fn.mul_elem(y_const, fn.log(fn.clip(p, PROB_EPS, 1.0)))
     neg_p = fn.clip(fn.sub(g.tensor(np.ones((p.rows, 1))), p), PROB_EPS, 1.0)
     neg = fn.mul_elem(g.tensor(1.0 - yv), fn.log(neg_p))
-    return fn.neg(fn.sum_all(fn.mul_elem(g.tensor(weights), fn.add(pos, neg))))
+    return fn.scale(fn.sum_all(fn.mul_elem(g.tensor(weights), fn.add(pos, neg))), -1.0)
 
 
 def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
@@ -156,7 +156,7 @@ def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
         return g.tensor(0.0)
     p = fn.sigmoid(fn.sub(fn.gather_rows(s, np.concatenate(hi)),
                           fn.gather_rows(s, np.concatenate(lo))))
-    losses = fn.neg(fn.log(fn.clip(p, PROB_EPS, 1.0)))
+    losses = fn.scale(fn.log(fn.clip(p, PROB_EPS, 1.0)), -1.0)
     return fn.sum_all(fn.mul_elem(g.tensor(np.concatenate(weights).reshape(-1, 1)), losses))
 
 

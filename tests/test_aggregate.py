@@ -9,18 +9,18 @@ from mtlds.aggregate import (
     LabelSequence,
     aggregate_columns,
     aggregate_labels,
-    aggregate_predictions,
     label_permutation,
 )
-from mtlds.gradcore import Graph, grad_check
+from mtlds.gradcore import Graph, fn, grad_check
 from mtlds.gradcore.tensor import ShapeMismatchError
 from mtlds.sortops import argsort_desc
 
 
 def agg(kind, probs, weights=None):
+    """The aggregate of one sample's per-task probabilities, one (1, 1) column each."""
     g = Graph()
     weight = None if weights is None else g.tensor(weights)
-    return aggregate_predictions(kind, g.tensor(list(probs)), weight).item()
+    return aggregate_columns(kind, [g.tensor(p) for p in probs], weight).item()
 
 
 class TestOperatorTable:
@@ -74,7 +74,7 @@ class TestAggregatePredictions:
     def test_learnable_weight_tensor_participates(self):
         g = Graph()
         w = g.tensor([[3.0], [2.0]])
-        out = aggregate_predictions("linear", g.tensor([0.9, 0.1]), w)
+        out = aggregate_columns("linear", [g.tensor(0.9), g.tensor(0.1)], w)
         assert out.item() == pytest.approx(2.9, rel=1e-12)
         grads = g.backward(out)
         npt.assert_allclose(grads[w.node_id], [[0.9], [0.1]])
@@ -89,7 +89,8 @@ class TestAggregatePredictions:
                 probs = rng.uniform(0.1, 0.9, (3, 1))
             w = (0.5, 1.5, 2.5) if kind == "linear" else None
             worst = max(worst, grad_check(
-                lambda t: aggregate_predictions(kind, t, None if w is None else t.graph.tensor(w)),
+                lambda t: aggregate_columns(kind, [fn.gather_rows(t, [i]) for i in range(3)],
+                                            None if w is None else t.graph.tensor(w)),
                 probs))
         assert worst < 1e-5
 
