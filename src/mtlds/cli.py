@@ -29,6 +29,7 @@ from .data import (
     atomic_open,
     label_matrix,
     load_dataset,
+    require_int,
     split,
     synthesize,
     write_dataset,
@@ -71,10 +72,14 @@ class ExperimentConfig:
             raise ConfigError(f"split needs 3 fractions (train, valid, test), got {self.split}")
         if not self.seeds:
             raise ConfigError("seed list is empty")
+        for i, seed in enumerate(self.seeds):
+            require_int(f"seeds[{i}]", seed, 0)
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seed list has repeats: {list(self.seeds)}")
-        if not self.cutoffs or any(k < 1 for k in self.cutoffs):
-            raise ConfigError(f"cutoffs must be positive integers, got {self.cutoffs}")
+        if not self.cutoffs:
+            raise ConfigError("cutoff list is empty")
+        for i, k in enumerate(self.cutoffs):
+            require_int(f"cutoffs[{i}]", k, 1)
         if self.gain not in GAINS:
             raise ConfigError(f"gain must be 'depth' or 'final', got {self.gain!r}")
         rank_by_task(self.rank_by)  # the task name is checked once the data is loaded
@@ -118,8 +123,8 @@ def load_experiment_config(path) -> ExperimentConfig:
             synth=synth_cfg,
             dataset_path=data_raw.get("path"),
             split=tuple(raw.get("split", (0.7, 0.15, 0.15))),
-            cutoffs=tuple(int(k) for k in raw.get("cutoffs", (2, 6, 12))),
-            seeds=tuple(int(s) for s in raw.get("seeds", (1,))),
+            cutoffs=tuple(raw.get("cutoffs", (2, 6, 12))),
+            seeds=tuple(raw.get("seeds", (1,))),
             out_dir=str(raw.get("out_dir", "runs/experiment")),
             rank_by=str(raw.get("rank_by", "aggregate")),
             gain=str(raw.get("gain", "depth")),

@@ -278,6 +278,13 @@ def write_dataset(ds: Dataset, path) -> None:
                 ]) + "\n")
 
 
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer, not a
+    bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Latent-factor generator configuration.
@@ -297,18 +304,21 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        for name in ("users", "items", "impressions", "list_size", "latent_dim"):
+            require_int(name, getattr(self, name), 1)
+        require_int("seed", self.seed, 0)
         if len(self.tasks) < 2:
             raise ValueError("need at least 2 tasks (click plus one post-click behavior)")
         if len(self.biases) != len(self.tasks):
             raise ValueError(f"{len(self.biases)} biases for {len(self.tasks)} tasks")
+        if not np.all(np.isfinite(self.biases)):
+            raise ValueError(f"biases must be finite, got {self.biases}")
         if any(b2 >= b1 for b1, b2 in zip(self.biases, self.biases[1:])):
             raise ValueError(f"biases must be strictly decreasing, got {self.biases}")
-        if min(self.users, self.items, self.impressions, self.list_size, self.latent_dim) < 1:
-            raise ValueError("users, items, impressions, list_size, latent_dim must be >= 1")
         if self.items < self.list_size:
             raise ValueError("need at least list_size distinct items")
-        if self.noise < 0:
-            raise ValueError("noise must be non-negative")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and non-negative, got {self.noise}")
 
 
 def synthesize(cfg: SynthConfig) -> Dataset:

@@ -14,6 +14,7 @@ Model kinds:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, field
@@ -24,7 +25,7 @@ import numpy as np
 
 from .aggregate import AGGREGATOR_KINDS, aggregate_columns, aggregate_labels, label_permutation
 from .data import (Dataset, FieldSpec, Impression, Sample, Schema, atomic_open,
-                   batch_impressions, label_matrix)
+                   batch_impressions, label_matrix, require_int)
 from .evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
 from .gradcore import AdamState, Graph, Tensor, adam_step, fn
 from .sortops import (
@@ -53,6 +54,8 @@ VALIDATION_CUTOFF = 6
 SCORE_CHUNK = 512
 
 CHECKPOINT_MAGIC = b"MTLDS1\n"
+# version 2 added the SHA-256 of the parameter bytes; version 1 files are refused
+CHECKPOINT_VERSION = 2
 
 
 class DivergenceError(RuntimeError):
@@ -93,8 +96,13 @@ class ModelConfig:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        require_int("epochs", self.epochs, 0)
+        require_int("seed", self.seed, 0)
+        for name in ("batch_size", "embedding_dim"):
+            require_int(name, getattr(self, name), 1)
+        for name in ("shared_layers", "tower_layers"):
+            for i, width in enumerate(getattr(self, name)):
+                require_int(f"{name}[{i}]", width, 1)
 
 
 def config_to_dict(config: ModelConfig) -> dict:
@@ -509,21 +517,27 @@ def _schema_from_dict(d: dict) -> Schema:
 
 
 def save_checkpoint(model: SharedBottomModel, path) -> None:
-    """Versioned header, JSON manifest of shapes, then raw float64 grids,
-    written atomically (see ``atomic_open``)."""
+    """Versioned header, JSON manifest of shapes and of the SHA-256 of the
+    parameter bytes, then raw float64 grids, written atomically (see
+    ``atomic_open``)."""
+    grids = [np.ascontiguousarray(model.params[name]) for name in model.params]
+    checksum = hashlib.sha256()
+    for grid in grids:
+        checksum.update(grid)
     manifest = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "config": config_to_dict(model.config),
         "schema": _schema_to_dict(model.schema),
         "params": [[name, *model.params[name].shape] for name in model.params],
+        "sha256": checksum.hexdigest(),
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for name in model.params:
-            fh.write(np.ascontiguousarray(model.params[name]).tobytes())
+        for grid in grids:
+            fh.write(grid.tobytes())
 
 
 def load_checkpoint(path) -> SharedBottomModel:
@@ -542,8 +556,10 @@ def load_checkpoint(path) -> SharedBottomModel:
             f"truncated checkpoint: manifest of {length} bytes, {len(data) - start} present")
     try:
         manifest = json.loads(data[start:start + length].decode("utf-8"))
-        if manifest["version"] != 1:
-            raise CheckpointError(f"unsupported checkpoint version {manifest['version']}")
+        if manifest["version"] != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {manifest['version']}; "
+                                  f"this code reads version {CHECKPOINT_VERSION}")
+        checksum = manifest["sha256"]
         model = SharedBottomModel(
             _schema_from_dict(manifest["schema"]),
             config_from_dict(manifest["config"]),
@@ -566,4 +582,6 @@ def load_checkpoint(path) -> SharedBottomModel:
         offset += rows * cols * 8
     if offset != len(data):
         raise CheckpointError(f"{len(data) - offset} trailing bytes after the last parameter grid")
+    if hashlib.sha256(data[start + length:]).hexdigest() != checksum:
+        raise CheckpointError("parameter bytes do not match the manifest's SHA-256 checksum")
     return model

@@ -109,6 +109,37 @@ def sort_loss(p_hats: Sequence[Tensor], perms: Sequence[np.ndarray]) -> Tensor:
     return fn.perm_xent(p_hats, perms, ndcg_position_weights(n_max))
 
 
+def check_spans(spans: Sequence[tuple[int, int]] | None, rows: int,
+                loss: str) -> list[tuple[int, int]]:
+    """The impression spans ``(start, stop)`` of a column of ``rows`` scores,
+    the whole column when ``spans`` is None.
+
+    The spans must tile the column in order.  Raises ShapeMismatchError
+    naming the first span that is empty, runs past the column, overlaps the
+    span before it or leaves a gap.
+    """
+    if spans is None:
+        return [(0, rows)]
+    spans = list(spans)
+    if not spans:
+        raise ShapeMismatchError(f"{loss}: no spans for a column of {rows} rows")
+    stop = 0
+    for i, (a, b) in enumerate(spans):
+        if b <= a:
+            raise ShapeMismatchError(f"{loss}: span {i} {(a, b)} is empty")
+        if a < 0 or b > rows:
+            raise ShapeMismatchError(f"{loss}: span {i} {(a, b)} runs past the column of {rows} rows")
+        if a < stop:
+            raise ShapeMismatchError(f"{loss}: span {i} {(a, b)} overlaps the span before it")
+        if a > stop:
+            raise ShapeMismatchError(f"{loss}: span {i} {(a, b)} leaves rows {stop}..{a - 1} uncovered")
+        stop = b
+    if stop < rows:
+        raise ShapeMismatchError(
+            f"{loss}: span {len(spans) - 1} {spans[-1]} leaves rows {stop}..{rows - 1} uncovered")
+    return spans
+
+
 def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
              spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
     """Binary cross-entropy of probabilities ``p`` against binary labels: the
@@ -117,7 +148,7 @@ def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
     yv = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if p.cols != 1 or p.rows != yv.shape[0]:
         raise ShapeMismatchError(f"bce_loss: probabilities {p.shape} vs {yv.shape[0]} labels")
-    spans = [(0, p.rows)] if spans is None else spans
+    spans = check_spans(spans, p.rows, "bce_loss")
     weights = np.empty((p.rows, 1))
     for a, b in spans:
         weights[a:b] = 1.0 / ((b - a) * len(spans))
@@ -143,7 +174,7 @@ def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
     yv = np.asarray(y, dtype=np.float64).reshape(-1)
     if s.cols != 1 or s.rows != yv.size:
         raise ShapeMismatchError(f"ranknet_loss: scores {s.shape} vs {yv.size} labels")
-    spans = [(0, s.rows)] if spans is None else spans
+    spans = check_spans(spans, s.rows, "ranknet_loss")
     hi, lo, weights = [], [], []
     for a, b in spans:
         i, j = np.nonzero(yv[a:b, None] > yv[None, a:b])
@@ -170,4 +201,4 @@ def listnet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
     yv = np.asarray(y, dtype=np.float64).reshape(-1)
     if yv.size != s.rows:
         raise ShapeMismatchError(f"listnet_loss: {s.rows} scores vs {yv.size} labels")
-    return fn.listnet(s, yv, [(0, s.rows)] if spans is None else spans)
+    return fn.listnet(s, yv, check_spans(spans, s.rows, "listnet_loss"))

@@ -238,8 +238,16 @@ class TestEvalCheckpointErrors:
         (lambda raw: TestEvalCheckpointErrors.rewrite_manifest(
             raw, lambda m: m["schema"].update(dense_count=-1)),
          "bad checkpoint manifest: ValueError: dense count"),
+        (lambda raw: raw[:-12] + bytes([raw[-12] ^ 1]) + raw[-11:],
+         "parameter bytes do not match the manifest's SHA-256 checksum"),
+        (lambda raw: TestEvalCheckpointErrors.rewrite_manifest(raw, lambda m: m.pop("sha256")),
+         "bad checkpoint manifest: KeyError: 'sha256'"),
+        (lambda raw: TestEvalCheckpointErrors.rewrite_manifest(
+            raw, lambda m: m.update(version=1)),
+         "unsupported checkpoint version 1"),
     ], ids=["magic", "short-header", "short-manifest", "json", "truncated-params",
-            "trailing-bytes", "unknown-config-key", "rejected-schema"])
+            "trailing-bytes", "unknown-config-key", "rejected-schema", "flipped-param-byte",
+            "no-checksum", "version-1"])
     def test_corrupt_checkpoint_exits_2(self, trained, tmp_path, corrupt, message):
         ckpt, data_path = trained
         bad = tmp_path / "bad.bin"
@@ -314,6 +322,36 @@ class TestConfigHandling:
     def test_bad_config_value_exits_2(self, tmp_path, overrides, message):
         config = write_config(tmp_path, **overrides)
         result = runner.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("model", "epochs", 2.5, "epochs must be an integer >= 0, got 2.5"),
+        ("model", "epochs", True, "epochs must be an integer >= 0, got True"),
+        ("model", "embedding_dim", 3.5, "embedding_dim must be an integer >= 1, got 3.5"),
+        ("model", "embedding_dim", 0, "embedding_dim must be an integer >= 1, got 0"),
+        ("model", "shared_layers", [8.5], "shared_layers[0] must be an integer >= 1, got 8.5"),
+        ("model", "tower_layers", [0], "tower_layers[0] must be an integer >= 1, got 0"),
+        ("synth", "users", 2.5, "users must be an integer >= 1, got 2.5"),
+        ("synth", "list_size", 3.5, "list_size must be an integer >= 1, got 3.5"),
+        ("synth", "impressions", 60.5, "impressions must be an integer >= 1, got 60.5"),
+        ("synth", "seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+        ("synth", "noise", float("nan"), "noise must be finite and non-negative, got nan"),
+        ("synth", "biases", [-0.5, float("nan")], "biases must be finite"),
+        ("top", "cutoffs", [2.7], "cutoffs[0] must be an integer >= 1, got 2.7"),
+        ("top", "seeds", [1, 2.5], "seeds[1] must be an integer >= 0, got 2.5"),
+        ("top", "seeds", [-1], "seeds[0] must be an integer >= 0, got -1"),
+    ], ids=["epochs-float", "epochs-bool", "embedding-float", "embedding-zero",
+            "shared-width-float", "tower-width-zero", "users", "list-size", "impressions",
+            "synth-seed", "noise-nan", "bias-nan", "cutoff-float", "seed-float", "seed-negative"])
+    def test_non_integer_or_non_finite_value_exits_2_naming_the_field(
+            self, tmp_path, section, key, value, message):
+        cfg = yaml.safe_load(write_config(tmp_path).read_text(encoding="utf-8"))
+        {"model": cfg["model"], "synth": cfg["data"]["synth"], "top": cfg}[section][key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        result = runner.invoke(main, ["train", "--config", str(path)])
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "runs").exists()

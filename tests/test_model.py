@@ -1,9 +1,11 @@
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mtlds.model as model_mod
 from mtlds.aggregate import LabelSequence
 from mtlds.data import FieldSpec, Impression, Sample, Schema, SynthConfig, split, synthesize
 from mtlds.evaluation import UndefinedMetricError
@@ -555,19 +557,27 @@ class TestCheckpoint:
         for x, y in zip(a, b):
             npt.assert_array_equal(x, y)
 
-    def test_failed_write_leaves_previous_checkpoint(self, tmp_path):
+    def test_failed_write_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
         model = SharedBottomModel(tiny_schema(), small_config())
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
         before = path.read_bytes()
+        real_open = model_mod.atomic_open
 
-        class Unwritable:  # the last grid fails after the header and the other grids
-            shape = (2, 1)
+        @contextmanager
+        def full_disk(target):  # the last grid fails after the header and the other grids
+            with real_open(target) as fh:
+                writes = iter(range(3 + len(model.params), 0, -1))
 
-            def __array__(self, *args, **kwargs):
-                raise OSError("no space left on device")
+                class Handle:
+                    def write(self, data):
+                        if next(writes) == 1:
+                            raise OSError("no space left on device")
+                        return fh.write(data)
 
-        model.params["agg/w"] = Unwritable()
+                yield Handle()
+
+        monkeypatch.setattr(model_mod, "atomic_open", full_disk)
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(model, path)
         assert path.read_bytes() == before

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtlds.gradcore import Graph, grad_check
+from mtlds.gradcore.tensor import ShapeMismatchError
 from mtlds.sortops import (
     argsort_desc,
     bce_loss,
@@ -236,6 +237,32 @@ class TestSortLoss:
                     for z in itertools.permutations(range(n))
                 }
                 assert min(losses, key=losses.get) == true_z
+
+
+class TestSpanCheck:
+    """Every span loss rejects spans that do not tile its column in order,
+    naming the first bad span, instead of returning a number or a numpy error."""
+
+    @pytest.mark.parametrize("spans,message", [
+        ([(0, 3), (3, 8)], r"span 1 \(3, 8\) runs past the column of 5 rows"),
+        ([(0, 2), (3, 5)], r"span 1 \(3, 5\) leaves rows 2..2 uncovered"),
+        ([(0, 2), (2, 2), (2, 5)], r"span 1 \(2, 2\) is empty"),
+        ([(0, 3), (2, 5)], r"span 1 \(2, 5\) overlaps the span before it"),
+        ([(0, 2), (2, 4)], r"span 1 \(2, 4\) leaves rows 4..4 uncovered"),
+        ([(-1, 5)], r"span 0 \(-1, 5\) runs past"),
+        ([], "no spans for a column of 5 rows"),
+    ], ids=["past-end", "gap", "empty", "overlap", "short", "negative", "none"])
+    @pytest.mark.parametrize("loss", [bce_loss, ranknet_loss, listnet_loss],
+                             ids=lambda f: f.__name__)
+    def test_bad_spans_raise_shape_mismatch(self, loss, spans, message):
+        p = Graph().tensor(np.linspace(0.1, 0.9, 5))
+        with pytest.raises(ShapeMismatchError, match=f"{loss.__name__}: {message}"):
+            loss(p, [1, 0, 1, 0, 1], spans)
+
+    def test_tiling_spans_accepted(self):
+        p = Graph().tensor(np.linspace(0.1, 0.9, 5))
+        for loss in (bce_loss, ranknet_loss, listnet_loss):
+            loss(p, [1, 0, 1, 0, 1], [(0, 1), (1, 5)])
 
 
 class TestBCELoss:
