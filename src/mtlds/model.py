@@ -582,6 +582,6 @@ def load_checkpoint(path) -> SharedBottomModel:
         offset += rows * cols * 8
     if offset != len(data):
         raise CheckpointError(f"{len(data) - offset} trailing bytes after the last parameter grid")
-    if hashlib.sha256(data[start + length:]).hexdigest() != checksum:
+    if hashlib.sha256(memoryview(data)[start + length:]).hexdigest() != checksum:
         raise CheckpointError("parameter bytes do not match the manifest's SHA-256 checksum")
     return model
