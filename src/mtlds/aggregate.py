@@ -12,6 +12,7 @@ from .gradcore.tensor import ShapeMismatchError
 from .sortops import argsort_desc, perm_matrix
 
 AGGREGATOR_KINDS = ("mul", "max", "add", "linear")
+GAINS = ("depth", "final")
 
 
 class LabelOrderError(ValueError):
@@ -82,6 +83,14 @@ def aggregate_labels(labels: np.ndarray) -> np.ndarray:
     """Row sums of an (n, T) label matrix: each item's behavior depth, the
     length of its user's behavior prefix."""
     return labels.sum(axis=1)
+
+
+def label_gain(labels: np.ndarray, gain: str) -> np.ndarray:
+    """Each item's target under ``gain``, from an (n, T) label matrix: its
+    behavior depth for ``"depth"``, its final-task label for ``"final"``."""
+    if gain not in GAINS:
+        raise ValueError(f"gain must be 'depth' or 'final', got {gain!r}")
+    return aggregate_labels(labels) if gain == "depth" else labels[:, -1]
 
 
 def label_permutation(scores: Sequence[int]) -> np.ndarray:

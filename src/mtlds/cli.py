@@ -19,7 +19,7 @@ import click
 import numpy as np
 import yaml
 
-from .aggregate import aggregate_columns
+from .aggregate import GAINS, aggregate_columns
 from .checks import run_all_checks
 from .data import (
     Dataset,
@@ -31,15 +31,16 @@ from .data import (
     load_dataset,
     require_int,
     split,
+    split_fractions,
     synthesize,
     write_dataset,
 )
 from .evaluation import MetricReport, UndefinedMetricError
 from .gradcore import Graph, corrupted_vjp
 from .model import (
-    GAINS,
     DivergenceError,
     ModelConfig,
+    SharedBottomModel,
     config_from_dict,
     evaluate_model,
     fit,
@@ -68,8 +69,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if (self.synth is None) == (self.dataset_path is None):
             raise ConfigError("config must provide exactly one of data.synth / data.path")
-        if len(self.split) != 3:
-            raise ConfigError(f"split needs 3 fractions (train, valid, test), got {self.split}")
+        split_fractions(self.split)
         if not self.seeds:
             raise ConfigError("seed list is empty")
         for i, seed in enumerate(self.seeds):
@@ -237,6 +237,7 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
             cfg = replace(cfg, rank_by=rank_by_flag)
         source = _load_source(cfg)
         rank_by_task(cfg.rank_by, source.schema.tasks)
+        SharedBottomModel(source.schema, cfg.model)  # the kind and task losses fit the data
         # the part sizes depend on the impression count and fractions, not on the seed
         sizes = [len(part.impressions) for part in split(source, cfg.split, seed=cfg.seeds[0])]
         if 0 in sizes:

@@ -18,6 +18,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from numbers import Real
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -376,21 +377,29 @@ def batch_impressions(
         yield [ds.impressions[i] for i in order[start:start + batch_size]]
 
 
+def split_fractions(fractions: Sequence[float]) -> list[float]:
+    """The train/valid/test fractions as floats; raises ValueError naming
+    ``split`` unless they are three finite, non-negative numbers summing to 1."""
+    if (len(fractions) != 3
+            or not all(isinstance(f, Real) and not isinstance(f, bool) and math.isfinite(f)
+                       and f >= 0 for f in fractions)
+            or abs(sum(float(f) for f in fractions) - 1.0) > 1e-9):
+        raise ValueError("split must be 3 finite, non-negative numbers summing to 1 "
+                         f"(train, valid, test), got {list(fractions)}")
+    return [float(f) for f in fractions]
+
+
 def split(
     ds: Dataset,
     fractions: Sequence[float],
     seed: int,
-) -> tuple[Dataset, ...]:
-    """Partition impressions into len(fractions) disjoint datasets.
+) -> tuple[Dataset, Dataset, Dataset]:
+    """Partition impressions into disjoint train, valid and test datasets.
 
-    Fractions must be non-negative and sum to 1; sizes match the fractions to
-    within one impression (cumulative rounding).
+    The fractions follow ``split_fractions``; sizes match them to within one
+    impression (cumulative rounding).
     """
-    fracs = [float(f) for f in fractions]
-    if any(f < 0 for f in fracs):
-        raise ValueError(f"fractions must be non-negative, got {fracs}")
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got sum {sum(fracs)}")
+    fracs = split_fractions(fractions)
     n = len(ds.impressions)
     order = np.random.default_rng(seed).permutation(n)
     cuts = [0]

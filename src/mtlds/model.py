@@ -1,15 +1,8 @@
 """Shared-bottom multi-task network, loss assembly for every model kind, and
 the impression-batched training loop.
 
-Model kinds:
-
-* ``mtlds``          multi-task towers + aggregated-score sorting loss
-* ``mtl_listnet``    same structure with the listwise loss swapped to ListNet
-* ``esmm``           two towers, BCE on click and on the click*conversion product
-* ``esmm_pairwise``  ESMM with both BCE terms replaced by pairwise logistic loss
-* ``dnn_pointwise``  one tower, BCE against the final post-click label
-* ``dnn_pairwise``   one tower, pairwise logistic loss on the combined label
-* ``dnn_diffsort``   one tower, sorting loss on the combined label
+The model kinds are the rows of ``KIND_RULES``; README's "Model kinds" table
+describes them and a test keeps the two equal.
 """
 
 from __future__ import annotations
@@ -19,11 +12,11 @@ import json
 import struct
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .aggregate import AGGREGATOR_KINDS, aggregate_columns, aggregate_labels, label_permutation
+from .aggregate import AGGREGATOR_KINDS, aggregate_columns, label_gain, label_permutation
 from .data import (Dataset, FieldSpec, Impression, Sample, Schema, atomic_open,
                    batch_impressions, label_matrix, require_int)
 from .evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
@@ -36,19 +29,30 @@ from .sortops import (
     sort_loss,
 )
 
-MODEL_KINDS = (
-    "mtlds",
-    "mtl_listnet",
-    "esmm",
-    "esmm_pairwise",
-    "dnn_pointwise",
-    "dnn_pairwise",
-    "dnn_diffsort",
-)
-# kinds with one tower per task, aggregated for the listwise loss and for ranking
-AGGREGATED_KINDS = ("mtlds", "mtl_listnet")
-TASK_LOSSES = {"bce": bce_loss, "ranknet": ranknet_loss}
-GAINS = ("depth", "final")
+
+class KindRule(NamedTuple):
+    """How one model kind builds its towers and its loss (README, "Model kinds")."""
+
+    towers: int | None  # None: one per task, configured aggregator; n: n towers, mul
+    task_terms: str  # "config": task_loss on each tower; "score": score loss on tower 0; "none"
+    score_loss: str  # "sort", "listnet", "bce" or "ranknet" on the unified score
+    target: str  # the score loss's label_gain: "depth" or "final"
+
+
+KIND_RULES = {
+    "mtlds": KindRule(None, "config", "sort", "depth"),
+    "mtl_listnet": KindRule(None, "config", "listnet", "depth"),
+    "esmm": KindRule(2, "score", "bce", "final"),
+    "esmm_pairwise": KindRule(2, "score", "ranknet", "final"),
+    "dnn_pointwise": KindRule(1, "none", "bce", "final"),
+    "dnn_pairwise": KindRule(1, "none", "ranknet", "depth"),
+    "dnn_diffsort": KindRule(1, "none", "sort", "depth"),
+}
+MODEL_KINDS = tuple(KIND_RULES)
+# losses of an (n, 1) column against a target vector, averaged over the
+# impressions; "sort" is SharedBottomModel._sort_loss
+COLUMN_LOSSES = {"bce": bce_loss, "ranknet": ranknet_loss, "listnet": listnet_loss}
+TASK_LOSSES = ("bce", "ranknet")
 VALIDATION_CUTOFF = 6
 # impressions per graph when scoring; bounds the tape's memory
 SCORE_CHUNK = 512
@@ -69,7 +73,7 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    kind: str = "mtlds"
+    kind: str = MODEL_KINDS[0]
     task_loss: str | tuple[str, ...] = "ranknet"
     aggregator: str = "linear"
     tau: float = 1.0
@@ -88,12 +92,14 @@ class ModelConfig:
         losses = self.task_loss if isinstance(self.task_loss, tuple) else (self.task_loss,)
         for l in losses:
             if l not in TASK_LOSSES:
-                raise ValueError(f"unknown task loss {l!r}; choose from {tuple(TASK_LOSSES)}")
+                raise ValueError(f"unknown task loss {l!r}; choose from {TASK_LOSSES}")
         if self.aggregator not in AGGREGATOR_KINDS:
             raise ValueError(
                 f"unknown aggregator {self.aggregator!r}; choose from {AGGREGATOR_KINDS}")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not (np.isfinite(self.sort_loss_weight) and self.sort_loss_weight >= 0):
+            raise ValueError(f"sort_loss_weight must be finite and >= 0, got {self.sort_loss_weight}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         require_int("epochs", self.epochs, 0)
@@ -156,31 +162,25 @@ class SharedBottomModel:
     """
 
     def __init__(self, schema: Schema, config: ModelConfig):
-        if config.kind in ("esmm", "esmm_pairwise") and schema.task_count != 2:
-            raise ValueError(f"{config.kind} requires exactly 2 tasks, schema has {schema.task_count}")
+        rule = KIND_RULES[config.kind]
         self.schema = schema
         self.config = config
-        self.tower_count = self._tower_count(config.kind, schema.task_count)
-        self.task_losses = self._resolve_task_losses(config, self.tower_count)
+        self.tower_count = rule.towers or schema.task_count
+        # several towers are one per task, so a fixed count needs that many tasks
+        if self.tower_count not in (1, schema.task_count):
+            raise ValueError(f"{config.kind} requires exactly {self.tower_count} tasks, "
+                             f"schema has {schema.task_count}")
+        losses = (config.task_loss if isinstance(config.task_loss, tuple)
+                  else (config.task_loss,) * self.tower_count)
+        if len(losses) != self.tower_count:
+            raise ValueError(f"{len(losses)} task losses for {self.tower_count} towers")
+        # the loss of each task term, applied to tower t against task t's label
+        self.task_losses = {"config": losses, "score": (rule.score_loss,),
+                            "none": ()}[rule.task_terms]
+        self.rule = rule
+        self.aggregator = config.aggregator if rule.towers is None else "mul"
         self.params: dict[str, np.ndarray] = {}
         self._init_params()
-
-    @staticmethod
-    def _tower_count(kind: str, task_count: int) -> int:
-        if kind in AGGREGATED_KINDS:
-            return task_count
-        if kind in ("esmm", "esmm_pairwise"):
-            return 2
-        return 1
-
-    @staticmethod
-    def _resolve_task_losses(config: ModelConfig, towers: int) -> tuple[str, ...]:
-        if isinstance(config.task_loss, tuple):
-            if len(config.task_loss) != towers:
-                raise ValueError(
-                    f"{len(config.task_loss)} task losses for {towers} towers")
-            return config.task_loss
-        return tuple(config.task_loss for _ in range(towers))
 
     @property
     def input_dim(self) -> int:
@@ -208,7 +208,7 @@ class SharedBottomModel:
             for i, width in enumerate(cfg.tower_layers):
                 dim = dense(f"tower/{t}/{i}", dim, width)
             dense(f"tower/{t}/{len(cfg.tower_layers)}", dim, 1, gain=1.0)
-        if cfg.kind in AGGREGATED_KINDS and cfg.aggregator == "linear":
+        if self.aggregator == "linear":
             self.params["agg/w"] = np.ones((self.tower_count, 1))
 
     def bind(self, graph: Graph) -> dict[str, Tensor]:
@@ -253,25 +253,14 @@ class SharedBottomModel:
             samples.extend(imp.samples)
         return samples, spans
 
-    def _columns_and_labels(
-        self,
-        graph: Graph,
-        impressions: Sequence[Impression],
-        params_t: dict[str, Tensor] | None,
-    ) -> tuple[list[Tensor], np.ndarray, list[tuple[int, int]], dict[str, Tensor]]:
-        """Per-tower columns, the (n, T) label matrix, the impression spans and
-        the bound parameters of one batch."""
-        samples, spans = self._flatten(impressions)
-        batch = encode_samples(self.schema, samples)
-        pt = params_t if params_t is not None else self.bind(graph)
-        cols = self.task_columns(graph, batch, pt)
-        return cols, label_matrix(samples), spans, pt
-
     def _sort_loss(self, col: Tensor, labels: np.ndarray,
                    spans: Sequence[tuple[int, int]]) -> Tensor:
         """Mean over the batch's impressions of the SoftSort sort loss of ``col``."""
         p_hats = [soft_sort(fn.gather_rows(col, range(a, b)), self.config.tau) for a, b in spans]
         return sort_loss(p_hats, [label_permutation(labels[a:b]) for a, b in spans])
+
+    def _loss(self, name: str):
+        return self._sort_loss if name == "sort" else COLUMN_LOSSES[name]
 
     def loss_components(
         self,
@@ -279,17 +268,16 @@ class SharedBottomModel:
         impressions: Sequence[Impression],
         params_t: dict[str, Tensor] | None = None,
     ) -> tuple[list[Tensor], Tensor]:
-        """Per-task loss tensors and the batch-mean listwise loss of an
-        mtlds/mtl_listnet model, which ``batch_loss`` sums."""
-        if self.config.kind not in AGGREGATED_KINDS:
-            raise ValueError(f"loss_components applies to mtlds/mtl_listnet, not {self.config.kind}")
-        cols, labels, spans, pt = self._columns_and_labels(graph, impressions, params_t)
-        task_terms = [TASK_LOSSES[kind](cols[t], labels[:, t], spans)
-                      for t, kind in enumerate(self.task_losses)]
-        score, depth = self.score(cols, pt), aggregate_labels(labels)
-        if self.config.kind == "mtl_listnet":
-            return task_terms, listnet_loss(score, depth, spans)
-        return task_terms, self._sort_loss(score, depth, spans)
+        """The task terms and the score term of this model's kind (see
+        ``KIND_RULES``), each averaged over the impressions."""
+        samples, spans = self._flatten(impressions)
+        batch = encode_samples(self.schema, samples)
+        pt = params_t if params_t is not None else self.bind(graph)
+        cols, labels = self.task_columns(graph, batch, pt), label_matrix(samples)
+        task_terms = [self._loss(name)(cols[t], labels[:, t], spans)
+                      for t, name in enumerate(self.task_losses)]
+        target = label_gain(labels, self.rule.target)
+        return task_terms, self._loss(self.rule.score_loss)(self.score(cols, pt), target, spans)
 
     def batch_loss(
         self,
@@ -297,45 +285,21 @@ class SharedBottomModel:
         impressions: Sequence[Impression],
         params_t: dict[str, Tensor] | None = None,
     ) -> Tensor:
-        """Training loss of this model's kind, averaged over the impressions.
-
-        mtlds/mtl_listnet: the per-task losses plus ``sort_loss_weight`` times
-        the listwise loss on the aggregated score.  esmm: click BCE plus
-        click*conversion BCE over the entire impression space, so the
-        conversion tower is supervised only through the product;
-        esmm_pairwise swaps both terms for the pairwise logistic loss on the
-        same targets.  dnn_pointwise: BCE against the final post-click label;
-        dnn_pairwise: pairwise logistic loss on the combined (summed) label;
-        dnn_diffsort: the sorting loss on the combined label's permutation.
-        """
-        if self.config.kind in AGGREGATED_KINDS:
-            task_terms, listwise = self.loss_components(graph, impressions, params_t)
-            return fn.add(reduce(fn.add, task_terms),
-                          fn.scale(listwise, self.config.sort_loss_weight))
-        cols, labels, spans, pt = self._columns_and_labels(graph, impressions, params_t)
-        kind = self.config.kind
-        if kind in ("esmm", "esmm_pairwise"):
-            task_loss = bce_loss if kind == "esmm" else ranknet_loss
-            return fn.add(task_loss(cols[0], labels[:, 0], spans),
-                          task_loss(self.score(cols, pt), labels[:, 0] * labels[:, -1], spans))
-        if kind == "dnn_pointwise":
-            return bce_loss(cols[0], labels[:, -1], spans)
-        combined = aggregate_labels(labels)
-        if kind == "dnn_pairwise":
-            return ranknet_loss(cols[0], combined, spans)
-        return self._sort_loss(cols[0], combined, spans)
+        """Training loss of this model's kind: its task terms plus
+        ``sort_loss_weight`` times its score term, added in that order."""
+        task_terms, score_term = self.loss_components(graph, impressions, params_t)
+        return reduce(fn.add, [*task_terms, fn.scale(score_term, self.config.sort_loss_weight)])
 
     # ---------------------------------------------------------------- scoring
 
     def score(self, cols: list[Tensor], params_t: dict[str, Tensor]) -> Tensor:
         """The unified score: the aggregation operator over the tower columns.
 
-        The operator is the configured aggregator for mtlds/mtl_listnet and
-        ``mul`` for every other kind: ESMM's click * conversion product
+        The operator is the configured aggregator for a kind with one tower
+        per task and ``mul`` for the others: ESMM's click * conversion product
         (pCTCVR) over two towers, the tower's own column over one.
         """
-        op = self.config.aggregator if self.config.kind in AGGREGATED_KINDS else "mul"
-        return aggregate_columns(op, cols, params_t.get("agg/w"))
+        return aggregate_columns(self.aggregator, cols, params_t.get("agg/w"))
 
     def _score_column(self, cols: list[Tensor], rank_by: str,
                       params_t: dict[str, Tensor]) -> Tensor:
@@ -390,16 +354,13 @@ def evaluate_model(
     ``gain="depth"`` scores each item by its behavior depth (summed labels);
     ``gain="final"`` uses the binary final-task label only.
     """
-    if gain not in GAINS:
-        raise ValueError(f"gain must be 'depth' or 'final', got {gain!r}")
     if not ds.impressions:
         raise ValueError("no impressions to evaluate")
-    scores = model.ranking_scores(ds.impressions, rank_by=rank_by)
     labels = label_matrix(ds.iter_samples())
-    finals = labels[:, -1]
-    gains = aggregate_labels(labels) if gain == "depth" else finals
+    gains = label_gain(labels, gain)
+    scores = model.ranking_scores(ds.impressions, rank_by=rank_by)
     cuts = np.cumsum([len(imp) for imp in ds.impressions[:-1]], dtype=np.intp)
-    return evaluate_ranking(scores, np.split(gains, cuts), np.split(finals, cuts), cutoffs)
+    return evaluate_ranking(scores, np.split(gains, cuts), np.split(labels[:, -1], cuts), cutoffs)
 
 
 # ------------------------------------------------------------------- training

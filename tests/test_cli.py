@@ -317,8 +317,22 @@ class TestConfigHandling:
         ({"model": {"kind": "mtlds", "aggregator": "bogus"}}, "unknown aggregator 'bogus'"),
         ({"gain": "bogus"}, "gain must be 'depth' or 'final'"),
         ({"rank_by": "bogus"}, "rank_by must be 'aggregate' or 'task:<name>'"),
+        ({"model": {"sort_loss_weight": float("nan")}}, "sort_loss_weight must be finite and >= 0"),
+        ({"model": {"sort_loss_weight": float("inf")}}, "sort_loss_weight must be finite and >= 0"),
+        ({"model": {"sort_loss_weight": -1.0}}, "sort_loss_weight must be finite and >= 0"),
+        ({"split": [float("nan"), 0.5, 0.5]}, "split must be 3 finite, non-negative numbers"),
+        ({"split": [float("inf"), 0.5, 0.5]}, "split must be 3 finite, non-negative numbers"),
+        ({"split": ["half", 0.25, 0.25]}, "split must be 3 finite, non-negative numbers"),
+        ({"split": [1.5, -0.25, -0.25]}, "split must be 3 finite, non-negative numbers"),
+        ({"model": {"kind": "esmm"},
+          "data": {"synth": {"impressions": 40, "users": 8, "items": 24, "list_size": 4,
+                             "tasks": ["click", "cart", "buy"], "biases": [-0.5, -1.0, -1.5]}}},
+         "esmm requires exactly 2 tasks, schema has 3"),
+        ({"model": {"task_loss": ["bce", "ranknet", "bce"]}}, "3 task losses for 2 towers"),
     ], ids=["repeated-seeds", "tau-nan", "tau-inf", "lr-nan", "lr-zero", "esmm-aggregator",
-            "mtlds-aggregator", "gain", "rank-by"])
+            "mtlds-aggregator", "gain", "rank-by", "weight-nan", "weight-inf", "weight-negative",
+            "split-nan", "split-inf", "split-string", "split-negative", "esmm-three-tasks",
+            "task-loss-length"])
     def test_bad_config_value_exits_2(self, tmp_path, overrides, message):
         config = write_config(tmp_path, **overrides)
         result = runner.invoke(main, ["train", "--config", str(config)])

@@ -11,7 +11,9 @@ from mtlds.data import FieldSpec, Impression, Sample, Schema, SynthConfig, split
 from mtlds.evaluation import UndefinedMetricError
 from mtlds.gradcore import Graph, corrupted_vjp
 from mtlds.model import (
+    KIND_RULES,
     MODEL_KINDS,
+    KindRule,
     DivergenceError,
     ModelConfig,
     SharedBottomModel,
@@ -129,14 +131,22 @@ class TestTotalLoss:
         total = model.batch_loss(Graph(), [imp]).item()
         assert total == pytest.approx(sum(t.item() for t in task_terms), abs=1e-9)
 
-    def test_additivity_of_components(self):
-        model = SharedBottomModel(tiny_schema(), small_config(sort_loss_weight=1.5))
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_additivity_of_components(self, kind):
+        model = SharedBottomModel(tiny_schema(), small_config(kind=kind, sort_loss_weight=1.5))
         g = Graph()
         pt = model.bind(g)
-        task_terms, listwise = model.loss_components(g, [IMP], pt)
+        task_terms, score_term = model.loss_components(g, [IMP], pt)
         total = model.batch_loss(g, [IMP], pt).item()
-        expected = sum(t.item() for t in task_terms) + 1.5 * listwise.item()
+        expected = sum(t.item() for t in task_terms) + 1.5 * score_term.item()
         assert total == pytest.approx(expected, abs=1e-9)
+
+    def test_zero_weight_esmm_is_click_bce_alone(self):
+        model = SharedBottomModel(tiny_schema(), small_config(kind="esmm", sort_loss_weight=0.0))
+        total = model.batch_loss(Graph(), [IMP]).item()
+        cols = model.task_columns(Graph(), encode_samples(model.schema, IMP.samples))
+        y_click = [s.labels.labels[0] for s in IMP.samples]
+        assert total == bce_loss(Graph().tensor(cols[0].value), y_click).item()
 
     def test_empty_impression_unrepresentable(self):
         with pytest.raises(ValueError, match="no samples"):
@@ -354,6 +364,17 @@ class TestHardParameterSharing:
         out = self._outputs(model)
         npt.assert_array_equal(out[:, 0], base[:, 0])
         assert np.abs(out[:, 1] - base[:, 1]).max() > 1e-8
+
+
+class TestKindRules:
+    def test_readme_table_matches_kind_rules(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Model kinds\n", 1)[1].split("\n## ", 1)[0]
+        rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("| `")]
+        table = {kind: KindRule(None if towers == "per task" else int(towers), *rest)
+                 for kind, towers, *rest in rows}
+        assert table == KIND_RULES
 
 
 class TestESMM:
