@@ -90,23 +90,57 @@ def evaluate_ranking(
     """Metrics over a list of impressions.
 
     AUC of the final task is computed globally over all samples.  NDCG is per
-    impression, skipping impressions whose gains are all zero.
+    impression, skipping impressions whose gains are all zero, and averaged
+    over the rest.  Each block of equal-length impressions is ranked at once;
+    every per-impression value equals ``ndcg_at_k`` on that impression, and
+    the values are added in impression order, so the means are the bits of a
+    loop over ``ndcg_at_k``.
     """
     if not impression_scores:
         raise ValueError("no impressions to evaluate")
-    ndcg_sums = {k: 0.0 for k in cutoffs}
-    ndcg_count = 0
-    for s, g in zip(impression_scores, impression_gains):
-        if not np.any(np.asarray(g) > 0):
-            continue
-        ndcg_count += 1
-        for k in cutoffs:
-            ndcg_sums[k] += ndcg_at_k(s, g, k)
+    for k in cutoffs:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+    if len(impression_gains) != len(impression_scores):
+        raise ValueError(
+            f"{len(impression_scores)} score lists vs {len(impression_gains)} gain lists")
+    score_parts = [np.asarray(s, dtype=np.float64).reshape(-1) for s in impression_scores]
+    gain_parts = [np.asarray(g, dtype=np.float64).reshape(-1) for g in impression_gains]
+    lengths = np.array([s.size for s in score_parts], dtype=np.intp)
+    for s, g in zip(score_parts, gain_parts):
+        if s.shape != g.shape:
+            raise ValueError(f"{s.size} scores vs {g.size} gains")
+    scores = np.concatenate(score_parts)
+    gains = np.concatenate(gain_parts)
+    if np.any(gains < 0):
+        raise ValueError("gains must be non-negative")
+
+    starts = np.cumsum(lengths) - lengths
+    ndcg = np.empty((len(cutoffs), lengths.size))
+    defined = np.zeros(lengths.size, dtype=bool)
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        cols = starts[rows, None] + np.arange(n)
+        live = np.any(gains[cols] > 0, axis=1)
+        rows, cols = rows[live], cols[live]
+        defined[rows] = True
+        S, G = scores[cols], gains[cols]
+        by_score = np.take_along_axis(G, np.argsort(-S, axis=1, kind="stable"), axis=1)
+        ideal = np.sort(G, axis=1)[:, ::-1]
+        discounts = 1.0 / np.log2(np.arange(2, n + 2))
+        dcg = (2.0 ** by_score - 1.0) * discounts
+        ideal_dcg = (2.0 ** ideal - 1.0) * discounts
+        for i, k in enumerate(cutoffs):
+            top = min(k, n)
+            ndcg[i, rows] = dcg[:, :top].sum(axis=1) / ideal_dcg[:, :top].sum(axis=1)
+    ndcg_count = int(defined.sum())
     if ndcg_count == 0:
         raise UndefinedMetricError("NDCG undefined: every impression has all-zero gains")
+    # cumsum adds strictly left to right; a pairwise np.sum would change the last bit
+    ndcg_sums = np.cumsum(ndcg[:, defined], axis=1)[:, -1]
 
     return MetricReport(
-        auc=auc(np.concatenate(impression_scores), np.concatenate(final_labels)),
-        ndcg_at={k: ndcg_sums[k] / ndcg_count for k in cutoffs},
+        auc=auc(scores, np.concatenate(final_labels)),
+        ndcg_at={k: float(ndcg_sums[i]) / ndcg_count for i, k in enumerate(cutoffs)},
         impressions=len(impression_scores),
     )

@@ -172,7 +172,8 @@ class SharedBottomModel:
                              f"schema has {schema.task_count}")
         losses = (config.task_loss if isinstance(config.task_loss, tuple)
                   else (config.task_loss,) * self.tower_count)
-        if len(losses) != self.tower_count:
+        # only the "config" kinds read task_loss; the others ignore the list
+        if rule.task_terms == "config" and len(losses) != self.tower_count:
             raise ValueError(f"{len(losses)} task losses for {self.tower_count} towers")
         # the loss of each task term, applied to tower t against task t's label
         self.task_losses = {"config": losses, "score": (rule.score_loss,),
@@ -303,6 +304,11 @@ class SharedBottomModel:
 
     def _score_column(self, cols: list[Tensor], rank_by: str,
                       params_t: dict[str, Tensor]) -> Tensor:
+        """The column that ``rank_by`` ranks by: the unified score for
+        ``"aggregate"``, else the named task's tower.  A one-tower kind
+        (``dnn_*``) has no per-task tower, so every ``task:<name>`` gives its
+        one column, the same scores as ``"aggregate"``.
+        """
         task = rank_by_task(rank_by, self.schema.tasks)
         if task is None:
             return self.score(cols, params_t)

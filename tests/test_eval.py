@@ -136,3 +136,47 @@ class TestEvaluateRanking:
         report = evaluate_ranking(scores, gains, finals, (2, 6, 12))
         for k in (2, 6, 12):
             assert report.ndcg_at[k] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_ndcg_equals_in_order_loop_over_ndcg_at_k(self, seed):
+        """Every mean is bit-equal to a left-to-right sum of the single-list
+        oracle over the impressions with a non-zero gain."""
+        rng = np.random.default_rng(seed)
+        lengths = np.concatenate([np.arange(1, 41), rng.integers(1, 41, 160)])
+        rng.shuffle(lengths)
+        scores, gains = [], []
+        for i, n in enumerate(lengths):
+            s = np.round(rng.standard_normal(n), 1)  # many tied scores
+            g = rng.integers(0, 4, n) * (rng.random(n) < 0.4)
+            if i % 7 == 0:
+                g[:] = 0  # all-zero rows sit inside the blocks
+            scores.append(s)
+            gains.append(g)
+        finals = [(g > 1).astype(int) for g in gains]
+        finals[0][0], finals[1][0] = 1, 0
+        cutoffs = (1, 2, 6, 12, 50)
+        report = evaluate_ranking(scores, gains, finals, cutoffs)
+
+        live = [(s, g) for s, g in zip(scores, gains) if np.any(g > 0)]
+        assert 0 < len(live) < len(scores)
+        for k in cutoffs:
+            total = 0.0
+            for s, g in live:
+                total += ndcg_at_k(s, g, k)
+            assert report.ndcg_at[k] == total / len(live)
+        assert report.impressions == len(scores)
+
+    @pytest.mark.parametrize("scores,gains,cutoffs,match", [
+        ([[0.5, 0.1]], [[1, 0]], (2, 0), "k must be >= 1"),
+        ([[0.5, 0.1]], [[1, -1]], (2,), "gains must be non-negative"),
+        ([[0.5, 0.1], [0.3, 0.2]], [[1, 0], [0, -1]], (2,), "gains must be non-negative"),
+        ([[0.5, 0.1], [0.3, 0.2]], [[1, 0], [1]], (2,), "2 scores vs 1 gains"),
+        ([[0.5, 0.1]], [[1, 0], [1, 0]], (2,), "1 score lists vs 2 gain lists"),
+    ], ids=["k-zero", "negative-gain", "negative-gain-in-zero-row", "length-mismatch",
+            "list-count-mismatch"])
+    def test_invalid_input_rejected(self, scores, gains, cutoffs, match):
+        finals = [np.zeros(len(s), dtype=int) for s in scores]
+        finals[0][0] = 1
+        with pytest.raises(ValueError, match=match):
+            evaluate_ranking([np.array(s) for s in scores], [np.array(g) for g in gains],
+                             finals, cutoffs)

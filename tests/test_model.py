@@ -443,6 +443,19 @@ class TestSingleTaskBaselines:
             model = SharedBottomModel(tiny_schema(), small_config(kind=kind))
             assert model.tower_count == 1
 
+    def test_task_loss_list_ignored_by_one_tower_kind(self):
+        model = SharedBottomModel(
+            tiny_schema(), small_config(kind="dnn_pointwise", task_loss=("bce", "ranknet")))
+        assert model.tower_count == 1
+        assert model.task_losses == ()
+
+    def test_rank_by_task_is_the_one_tower(self):
+        model = SharedBottomModel(tiny_schema(), small_config(kind="dnn_pointwise"))
+        agg, click, purchase = (model.ranking_scores([IMP], rank_by=r)[0]
+                                for r in ("aggregate", "task:click", "task:purchase"))
+        assert np.array_equal(click, agg)
+        assert np.array_equal(purchase, agg)
+
 
 class TestScalabilityAcrossTaskCounts:
     @pytest.mark.parametrize("t_count", [2, 3, 4])
