@@ -12,6 +12,16 @@ Library layout:
 * ``cli``         command-line interface (``mtlds`` entry point)
 """
 
+import os
+
+# One BLAS thread, set before any submodule imports numpy: OpenBLAS reads
+# these when it loads, and with several threads it splits each matrix product
+# by the thread count, which changes the last bits of the losses and so the
+# reports.  A program that imports numpy before mtlds keeps its own setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+del _var
+
 from .aggregate import LabelSequence, aggregate_columns, aggregate_labels
 from .data import (Dataset, Impression, Sample, Schema, SynthConfig, label_matrix, load_dataset,
                    synthesize)

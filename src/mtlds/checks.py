@@ -76,7 +76,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
     perms = [np.eye(2)[rng.permutation(2)], np.eye(3)[rng.permutation(3)],
              np.eye(2)[rng.permutation(2)]]
     first2, last2 = np.eye(3)[:2], np.eye(3)[1:]
-    spans = [(0, 2), (2, 5), (5, 7)]  # lengths 2, 3, 2: two blocks, one of two lists
+    lengths = [2, 3, 2]  # two blocks, one of two lists
     labels = rng.standard_normal(7)
 
     def perm_xent(x: Tensor) -> Tensor:
@@ -105,7 +105,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
                         rng.standard_normal((3, 2))),
         "softsort_logits": (lambda x: fn.softsort_logits(x, order, 0.7), _spread(rng, (5, 1))),
         "perm_xent": (perm_xent, rng.uniform(0.05, 0.95, (3, 3))),
-        "listnet": (lambda x: fn.listnet(x, labels, spans), rng.standard_normal((7, 1))),
+        "listnet": (lambda x: fn.listnet(x, labels, lengths), rng.standard_normal((7, 1))),
     }
 
 
@@ -128,29 +128,29 @@ def check_registry_ops(trials: int = 20, seed: int = 0, tol: float = 1e-4) -> li
 
 
 def check_losses(trials: int = 20, seed: int = 1) -> list[CheckResult]:
-    """Each loss on two impression spans, as in a training batch."""
+    """Each loss on two impressions, as in a training batch."""
     rng = np.random.default_rng(seed)
     worst_sort = worst_listnet = worst_ranknet = worst_bce = 0.0
     for _ in range(trials):
         n = int(rng.integers(3, 9))
         s = _spread(rng, (n, 1), min_gap=5e-3)
         cut = int(rng.integers(2, n))
-        spans = [(0, cut), (cut, n)]
+        lengths = [cut, n - cut]
         labels = rng.integers(0, 3, size=n)
-        perms = [label_permutation(labels[a:b]) for a, b in spans]
+        rows = np.split(np.arange(n), [cut])
+        perms = [label_permutation(labels[r]) for r in rows]
         worst_sort = max(worst_sort, grad_check(
-            lambda t: sort_loss([soft_sort(fn.gather_rows(t, range(a, b)), 1.0)
-                                 for a, b in spans], perms), s))
+            lambda t: sort_loss([soft_sort(fn.gather_rows(t, r), 1.0) for r in rows], perms), s))
         y = rng.standard_normal(n)
-        worst_listnet = max(worst_listnet, grad_check(lambda t: listnet_loss(t, y, spans), s))
+        worst_listnet = max(worst_listnet, grad_check(lambda t: listnet_loss(t, y, lengths), s))
         graded = rng.integers(0, 3, size=n)
         if np.all(graded[:cut] == graded[0]):
             graded[0] += 1
         worst_ranknet = max(worst_ranknet,
-                            grad_check(lambda t: ranknet_loss(t, graded, spans), s))
+                            grad_check(lambda t: ranknet_loss(t, graded, lengths), s))
         p = rng.uniform(0.05, 0.95, (n, 1))
         yb = rng.integers(0, 2, size=n)
-        worst_bce = max(worst_bce, grad_check(lambda t: bce_loss(t, yb, spans), p))
+        worst_bce = max(worst_bce, grad_check(lambda t: bce_loss(t, yb, lengths), p))
     return [
         CheckResult("loss:soft_sort+sort_loss", worst_sort, 1e-4),
         CheckResult("loss:listnet", worst_listnet, 1e-4),

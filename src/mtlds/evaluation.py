@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .gradcore.tensor import length_blocks
+
 
 class UndefinedMetricError(ValueError):
     """The metric has no value for this input (e.g. single-class AUC)."""
@@ -82,12 +84,15 @@ def ndcg_at_k(
 
 
 def evaluate_ranking(
-    impression_scores: Sequence[np.ndarray],
-    impression_gains: Sequence[np.ndarray],
-    final_labels: Sequence[np.ndarray],
+    scores: Sequence[float] | np.ndarray,
+    gains: Sequence[float] | np.ndarray,
+    final_labels: Sequence[int] | np.ndarray,
+    lengths: Sequence[int] | np.ndarray,
     cutoffs: Sequence[int],
 ) -> MetricReport:
-    """Metrics over a list of impressions.
+    """Metrics over impressions laid out flat: ``scores``, ``gains`` and
+    ``final_labels`` hold one entry per sample, one impression after another,
+    and ``lengths`` the number of samples of each impression.
 
     AUC of the final task is computed globally over all samples.  NDCG is per
     impression, skipping impressions whose gains are all zero, and averaged
@@ -96,31 +101,27 @@ def evaluate_ranking(
     the values are added in impression order, so the means are the bits of a
     loop over ``ndcg_at_k``.
     """
-    if not impression_scores:
-        raise ValueError("no impressions to evaluate")
     for k in cutoffs:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-    if len(impression_gains) != len(impression_scores):
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    gains = np.asarray(gains, dtype=np.float64).reshape(-1)
+    lengths = np.asarray(lengths)
+    if lengths.size == 0:
+        raise ValueError("no impressions to evaluate")
+    if scores.shape != gains.shape:
+        raise ValueError(f"{scores.size} scores vs {gains.size} gains")
+    if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or np.any(lengths < 1)
+            or lengths.sum() != scores.size):
         raise ValueError(
-            f"{len(impression_scores)} score lists vs {len(impression_gains)} gain lists")
-    score_parts = [np.asarray(s, dtype=np.float64).reshape(-1) for s in impression_scores]
-    gain_parts = [np.asarray(g, dtype=np.float64).reshape(-1) for g in impression_gains]
-    lengths = np.array([s.size for s in score_parts], dtype=np.intp)
-    for s, g in zip(score_parts, gain_parts):
-        if s.shape != g.shape:
-            raise ValueError(f"{s.size} scores vs {g.size} gains")
-    scores = np.concatenate(score_parts)
-    gains = np.concatenate(gain_parts)
+            f"impression lengths must be positive integers summing to the {scores.size} scores")
     if np.any(gains < 0):
         raise ValueError("gains must be non-negative")
 
-    starts = np.cumsum(lengths) - lengths
     ndcg = np.empty((len(cutoffs), lengths.size))
     defined = np.zeros(lengths.size, dtype=bool)
-    for n in np.unique(lengths):
-        rows = np.flatnonzero(lengths == n)
-        cols = starts[rows, None] + np.arange(n)
+    for rows, cols in length_blocks(lengths):
+        n = cols.shape[1]
         live = np.any(gains[cols] > 0, axis=1)
         rows, cols = rows[live], cols[live]
         defined[rows] = True
@@ -140,7 +141,7 @@ def evaluate_ranking(
     ndcg_sums = np.cumsum(ndcg[:, defined], axis=1)[:, -1]
 
     return MetricReport(
-        auc=auc(scores, np.concatenate(final_labels)),
+        auc=auc(scores, final_labels),
         ndcg_at={k: float(ndcg_sums[i]) / ndcg_count for i, k in enumerate(cutoffs)},
-        impressions=len(impression_scores),
+        impressions=lengths.size,
     )

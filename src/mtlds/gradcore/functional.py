@@ -88,7 +88,7 @@ def perm_xent(p_hats: Sequence[Tensor], perms: Sequence[np.ndarray],
     return p_hats[0].graph.apply("perm_xent", p_hats, perms=list(perms), weights=weights)
 
 
-def listnet(s: Tensor, labels: np.ndarray, spans: Sequence[tuple[int, int]]) -> Tensor:
-    """Mean over the ``(start, stop)`` spans of the cross-entropy between
-    softmax(labels) and softmax(s) within each span."""
-    return s.graph.apply("listnet", [s], labels=labels, spans=list(spans))
+def listnet(s: Tensor, labels: np.ndarray, lengths: Sequence[int] | np.ndarray) -> Tensor:
+    """Mean over the impressions, ``lengths`` rows each in turn, of the
+    cross-entropy between softmax(labels) and softmax(s) within each."""
+    return s.graph.apply("listnet", [s], labels=labels, lengths=np.asarray(lengths, dtype=np.intp))

@@ -278,12 +278,18 @@ def _vjp_concat_cols(g, xs, out, attrs):
     return [np.ascontiguousarray(part) for part in np.hsplit(g, offsets)]
 
 
-def _length_groups(lengths: Sequence[int]) -> list[np.ndarray]:
-    """Positions of the lists of each distinct length, lengths in first-seen order."""
-    groups: dict[int, list[int]] = {}
-    for i, n in enumerate(lengths):
-        groups.setdefault(n, []).append(i)
-    return [np.array(members) for members in groups.values()]
+def length_blocks(lengths: Sequence[int] | np.ndarray):
+    """Group lists laid out one after another in a flat array by length.
+
+    ``lengths`` holds each list's length.  For each distinct length, yields
+    the positions of the lists of that length and their ``(k, n)`` row
+    indices into the flat array, both in list order.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    for n in np.unique(lengths):
+        members = np.flatnonzero(lengths == n)
+        yield members, starts[members, None] + np.arange(n)
 
 
 def _mean_in_order(per_list: np.ndarray) -> np.ndarray:
@@ -322,7 +328,7 @@ def _perm_xent_group(xs, attrs, members):
 
 def _fwd_perm_xent(xs, attrs):
     per_list = np.empty(len(xs))
-    for members in _length_groups([x.shape[0] for x in xs]):
+    for members, _ in length_blocks([x.shape[0] for x in xs]):
         p_hat, p, _, clipped, comp, w = _perm_xent_group(xs, attrs, members)
         per_entry = p * np.log(clipped) + (1.0 - p) * np.log(comp)
         per_list[members] = -(w * per_entry).reshape(len(members), -1).sum(axis=1)
@@ -332,7 +338,7 @@ def _fwd_perm_xent(xs, attrs):
 def _vjp_perm_xent(g, xs, out, attrs):
     c = -(g[0, 0] * (1.0 / len(xs)))
     grads: list[np.ndarray | None] = [None] * len(xs)
-    for members in _length_groups([x.shape[0] for x in xs]):
+    for members, _ in length_blocks([x.shape[0] for x in xs]):
         p_hat, p, comp_raw, clipped, comp, w = _perm_xent_group(xs, attrs, members)
         g_entry = c * w
         d_clipped = g_entry * p / clipped * ((p_hat >= PROB_EPS) & (p_hat <= 1.0 - PROB_EPS))
@@ -354,30 +360,22 @@ def _listnet_group(s, attrs, rows):
     return q, shifted / shifted.sum(axis=1, keepdims=True)
 
 
-def _span_blocks(spans):
-    """(members, (k, n) row indices) per distinct span length."""
-    starts = np.array([a for a, _ in spans])
-    for members in _length_groups([b - a for a, b in spans]):
-        n = spans[members[0]][1] - spans[members[0]][0]
-        yield members, starts[members][:, None] + np.arange(n)
-
-
 def _fwd_listnet(xs, attrs):
-    s, spans = xs[0], attrs["spans"]
+    s, lengths = xs[0], attrs["lengths"]
     if s.shape[1] != 1:
         raise ShapeMismatchError(f"listnet: expected a column vector, got {s.shape}")
-    per_list = np.empty(len(spans))
-    for members, rows in _span_blocks(spans):
+    per_list = np.empty(lengths.size)
+    for members, rows in length_blocks(lengths):
         q, target = _listnet_group(s, attrs, rows)
         per_list[members] = -(target * np.log(np.clip(q, PROB_EPS, 1.0))).sum(axis=1)
     return _mean_in_order(per_list)
 
 
 def _vjp_listnet(g, xs, out, attrs):
-    s, spans = xs[0], attrs["spans"]
-    c = -(g[0, 0] * (1.0 / len(spans)))
+    s, lengths = xs[0], attrs["lengths"]
+    c = -(g[0, 0] * (1.0 / lengths.size))
     ds = np.zeros_like(s)
-    for members, rows in _span_blocks(spans):
+    for _, rows in length_blocks(lengths):
         q, target = _listnet_group(s, attrs, rows)
         d_q = c * target / np.clip(q, PROB_EPS, 1.0) * ((q >= PROB_EPS) & (q <= 1.0))
         dot = (d_q * q).sum(axis=1, keepdims=True)

@@ -111,14 +111,6 @@ class ModelConfig:
                 require_int(f"{name}[{i}]", width, 1)
 
 
-def config_to_dict(config: ModelConfig) -> dict:
-    d = asdict(config)
-    for key in ("task_loss", "shared_layers", "tower_layers"):
-        if isinstance(d[key], tuple):
-            d[key] = list(d[key])
-    return d
-
-
 def config_from_dict(d: dict) -> ModelConfig:
     kwargs = dict(d)
     for key in ("shared_layers", "tower_layers"):
@@ -152,6 +144,15 @@ def encode_samples(schema: Schema, samples: Sequence[Sample]) -> FeatureBatch:
         cat_ids[spec.name] = np.where((raw >= 0) & (raw < spec.cardinality), raw, spec.cardinality)
     dense = np.array([s.dense for s in samples], dtype=np.float64).reshape(n, schema.dense_count)
     return FeatureBatch(cat_ids=cat_ids, dense=dense)
+
+
+def flatten(impressions: Sequence[Impression]) -> tuple[list[Sample], np.ndarray]:
+    """The samples of ``impressions`` one impression after another, and the
+    ``np.intp`` array of the impressions' lengths: the one layout of a batch."""
+    samples: list[Sample] = []
+    for imp in impressions:
+        samples.extend(imp.samples)
+    return samples, np.array([len(imp) for imp in impressions], dtype=np.intp)
 
 
 class SharedBottomModel:
@@ -246,19 +247,12 @@ class SharedBottomModel:
 
     # ------------------------------------------------------------------ losses
 
-    def _flatten(self, impressions: Sequence[Impression]) -> tuple[list[Sample], list[tuple[int, int]]]:
-        samples: list[Sample] = []
-        spans = []
-        for imp in impressions:
-            spans.append((len(samples), len(samples) + len(imp)))
-            samples.extend(imp.samples)
-        return samples, spans
-
-    def _sort_loss(self, col: Tensor, labels: np.ndarray,
-                   spans: Sequence[tuple[int, int]]) -> Tensor:
+    def _sort_loss(self, col: Tensor, labels: np.ndarray, lengths: np.ndarray) -> Tensor:
         """Mean over the batch's impressions of the SoftSort sort loss of ``col``."""
-        p_hats = [soft_sort(fn.gather_rows(col, range(a, b)), self.config.tau) for a, b in spans]
-        return sort_loss(p_hats, [label_permutation(labels[a:b]) for a, b in spans])
+        cuts = np.cumsum(lengths)[:-1]
+        p_hats = [soft_sort(fn.gather_rows(col, rows), self.config.tau)
+                  for rows in np.split(np.arange(col.rows), cuts)]
+        return sort_loss(p_hats, [label_permutation(part) for part in np.split(labels, cuts)])
 
     def _loss(self, name: str):
         return self._sort_loss if name == "sort" else COLUMN_LOSSES[name]
@@ -271,14 +265,14 @@ class SharedBottomModel:
     ) -> tuple[list[Tensor], Tensor]:
         """The task terms and the score term of this model's kind (see
         ``KIND_RULES``), each averaged over the impressions."""
-        samples, spans = self._flatten(impressions)
+        samples, lengths = flatten(impressions)
         batch = encode_samples(self.schema, samples)
         pt = params_t if params_t is not None else self.bind(graph)
         cols, labels = self.task_columns(graph, batch, pt), label_matrix(samples)
-        task_terms = [self._loss(name)(cols[t], labels[:, t], spans)
+        task_terms = [self._loss(name)(cols[t], labels[:, t], lengths)
                       for t, name in enumerate(self.task_losses)]
         target = label_gain(labels, self.rule.target)
-        return task_terms, self._loss(self.rule.score_loss)(self.score(cols, pt), target, spans)
+        return task_terms, self._loss(self.rule.score_loss)(self.score(cols, pt), target, lengths)
 
     def batch_loss(
         self,
@@ -323,12 +317,12 @@ class SharedBottomModel:
         out: list[np.ndarray] = []
         for start in range(0, len(impressions), SCORE_CHUNK):
             part = impressions[start:start + SCORE_CHUNK]
-            samples, spans = self._flatten(part)
+            samples, lengths = flatten(part)
             graph = Graph()
             pt = self.bind(graph)
             cols = self.task_columns(graph, encode_samples(self.schema, samples), pt)
-            scores = self._score_column(cols, rank_by, pt).value[:, 0]
-            out.extend(scores[a:b].copy() for a, b in spans)
+            scores = self._score_column(cols, rank_by, pt).value[:, 0].copy()
+            out.extend(np.split(scores, np.cumsum(lengths)[:-1]))
         return out
 
 
@@ -362,11 +356,10 @@ def evaluate_model(
     """
     if not ds.impressions:
         raise ValueError("no impressions to evaluate")
-    labels = label_matrix(ds.iter_samples())
-    gains = label_gain(labels, gain)
-    scores = model.ranking_scores(ds.impressions, rank_by=rank_by)
-    cuts = np.cumsum([len(imp) for imp in ds.impressions[:-1]], dtype=np.intp)
-    return evaluate_ranking(scores, np.split(gains, cuts), np.split(labels[:, -1], cuts), cutoffs)
+    samples, lengths = flatten(ds.impressions)
+    labels = label_matrix(samples)
+    scores = np.concatenate(model.ranking_scores(ds.impressions, rank_by=rank_by))
+    return evaluate_ranking(scores, label_gain(labels, gain), labels[:, -1], lengths, cutoffs)
 
 
 # ------------------------------------------------------------------- training
@@ -493,7 +486,7 @@ def save_checkpoint(model: SharedBottomModel, path) -> None:
         checksum.update(grid)
     manifest = {
         "version": CHECKPOINT_VERSION,
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
         "schema": _schema_to_dict(model.schema),
         "params": [[name, *model.params[name].shape] for name in model.params],
         "sha256": checksum.hexdigest(),

@@ -109,49 +109,33 @@ def sort_loss(p_hats: Sequence[Tensor], perms: Sequence[np.ndarray]) -> Tensor:
     return fn.perm_xent(p_hats, perms, ndcg_position_weights(n_max))
 
 
-def check_spans(spans: Sequence[tuple[int, int]] | None, rows: int,
-                loss: str) -> list[tuple[int, int]]:
-    """The impression spans ``(start, stop)`` of a column of ``rows`` scores,
-    the whole column when ``spans`` is None.
+def check_lengths(lengths: Sequence[int] | np.ndarray | None, rows: int,
+                  loss: str) -> np.ndarray:
+    """The impression lengths of a column of ``rows`` scores as an ``np.intp``
+    array, the whole column when ``lengths`` is None.
 
-    The spans must tile the column in order.  Raises ShapeMismatchError
-    naming the first span that is empty, runs past the column, overlaps the
-    span before it or leaves a gap.
+    Raises ShapeMismatchError naming ``loss`` unless the lengths are a 1-D
+    array of positive integers that sum to ``rows``.
     """
-    if spans is None:
-        return [(0, rows)]
-    spans = list(spans)
-    if not spans:
-        raise ShapeMismatchError(f"{loss}: no spans for a column of {rows} rows")
-    stop = 0
-    for i, (a, b) in enumerate(spans):
-        if b <= a:
-            raise ShapeMismatchError(f"{loss}: span {i} {(a, b)} is empty")
-        if a < 0 or b > rows:
-            raise ShapeMismatchError(f"{loss}: span {i} {(a, b)} runs past the column of {rows} rows")
-        if a < stop:
-            raise ShapeMismatchError(f"{loss}: span {i} {(a, b)} overlaps the span before it")
-        if a > stop:
-            raise ShapeMismatchError(f"{loss}: span {i} {(a, b)} leaves rows {stop}..{a - 1} uncovered")
-        stop = b
-    if stop < rows:
-        raise ShapeMismatchError(
-            f"{loss}: span {len(spans) - 1} {spans[-1]} leaves rows {stop}..{rows - 1} uncovered")
-    return spans
+    if lengths is None:
+        return np.array([rows], dtype=np.intp)
+    a = np.asarray(lengths)
+    if a.ndim != 1 or a.dtype.kind not in "iu" or np.any(a < 1) or a.sum() != rows:
+        raise ShapeMismatchError(f"{loss}: impression lengths {a.tolist()} are not positive "
+                                 f"integers summing to the column's {rows} rows")
+    return a.astype(np.intp)
 
 
 def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
-             spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
+             lengths: Sequence[int] | np.ndarray | None = None) -> Tensor:
     """Binary cross-entropy of probabilities ``p`` against binary labels: the
-    mean within each impression span ``(start, stop)``, then the mean over
-    spans (the whole list is one span by default)."""
+    mean within each impression (``lengths`` rows each, in turn), then the
+    mean over impressions (the whole list is one impression by default)."""
     yv = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if p.cols != 1 or p.rows != yv.shape[0]:
         raise ShapeMismatchError(f"bce_loss: probabilities {p.shape} vs {yv.shape[0]} labels")
-    spans = check_spans(spans, p.rows, "bce_loss")
-    weights = np.empty((p.rows, 1))
-    for a, b in spans:
-        weights[a:b] = 1.0 / ((b - a) * len(spans))
+    lengths = check_lengths(lengths, p.rows, "bce_loss")
+    weights = np.repeat(1.0 / (lengths * lengths.size), lengths).reshape(-1, 1)
     g = p.graph
     y_const = g.tensor(yv)
     pos = fn.mul_elem(y_const, fn.log(fn.clip(p, PROB_EPS, 1.0)))
@@ -161,27 +145,30 @@ def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
 
 
 def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
-                 spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
+                 lengths: Sequence[int] | np.ndarray | None = None) -> Tensor:
     """Pairwise logistic loss log(1 + exp(-(s_i - s_j))) over the pairs
-    y_i > y_j inside each impression span: the mean within a span, then the
-    mean over spans (the whole list is one span by default).
+    y_i > y_j inside each impression (``lengths`` rows each, in turn): the
+    mean within an impression, then the mean over impressions (the whole list
+    is one impression by default).
 
     Computed as -log(sigmoid(s_i - s_j)) with one weight per pair, so the term
-    costs a fixed number of graph nodes whatever the list sizes.  A span
-    without ordered pairs adds 0; a constant 0 is returned when no span has
-    one.
+    costs a fixed number of graph nodes whatever the list sizes.  The pairs
+    are taken impression by impression, which fixes the order of the sum.  An
+    impression without ordered pairs adds 0; a constant 0 is returned when no
+    impression has one.
     """
     yv = np.asarray(y, dtype=np.float64).reshape(-1)
     if s.cols != 1 or s.rows != yv.size:
         raise ShapeMismatchError(f"ranknet_loss: scores {s.shape} vs {yv.size} labels")
-    spans = check_spans(spans, s.rows, "ranknet_loss")
+    lengths = check_lengths(lengths, s.rows, "ranknet_loss")
     hi, lo, weights = [], [], []
-    for a, b in spans:
+    stops = np.cumsum(lengths)
+    for a, b in zip((stops - lengths).tolist(), stops.tolist()):
         i, j = np.nonzero(yv[a:b, None] > yv[None, a:b])
         if i.size:
             hi.append(i + a)
             lo.append(j + a)
-            weights.append(np.full(i.size, 1.0 / (i.size * len(spans))))
+            weights.append(np.full(i.size, 1.0 / (i.size * lengths.size)))
     g = s.graph
     if not hi:
         return g.tensor(0.0)
@@ -192,13 +179,14 @@ def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
 
 
 def listnet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
-                 spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
+                 lengths: Sequence[int] | np.ndarray | None = None) -> Tensor:
     """Top-1 listwise loss: the cross-entropy between softmax(y) and
-    softmax(s) within each impression span ``(start, stop)``, averaged over
-    spans (the whole list is one span by default).  One ``listnet`` tape node."""
+    softmax(s) within each impression (``lengths`` rows each, in turn),
+    averaged over impressions (the whole list is one impression by default).
+    One ``listnet`` tape node."""
     if s.cols != 1:
         raise ShapeMismatchError(f"listnet_loss expects an (n, 1) score tensor, got {s.shape}")
     yv = np.asarray(y, dtype=np.float64).reshape(-1)
     if yv.size != s.rows:
         raise ShapeMismatchError(f"listnet_loss: {s.rows} scores vs {yv.size} labels")
-    return fn.listnet(s, yv, check_spans(spans, s.rows, "listnet_loss"))
+    return fn.listnet(s, yv, check_lengths(lengths, s.rows, "listnet_loss"))

@@ -1,11 +1,16 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import mtlds
 import mtlds.cli as cli_mod
 from mtlds.cli import experiment_hash, load_experiment_config, main
 from mtlds.data import load_dataset
@@ -106,6 +111,25 @@ class TestTrain:
                 == (out2 / "seed1" / "report.json").read_bytes())
         assert ((out1 / "seed1" / "checkpoint.bin").read_bytes()
                 == (out2 / "seed1" / "checkpoint.bin").read_bytes())
+
+    def test_report_does_not_depend_on_blas_threads(self, tmp_path):
+        """The command pins one BLAS thread before numpy loads; a multi-threaded
+        OpenBLAS would split the matrix products by the thread count and
+        change the report's last bits."""
+        config = write_config(tmp_path, split=[0.7, 0.15, 0.15], data={"synth": {}},
+                              model={"kind": "mtlds", "tau": 0.25, "epochs": 3,
+                                     "batch_size": 64})
+        src = str(Path(mtlds.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "mtlds.cli", "train", "--config", str(config),
+                            "--out", str(out)], env=env, check=True, capture_output=True,
+                           timeout=600)
+            reports.append((out / "seed1" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_seed_flag_overrides_list(self, tmp_path):
         config = write_config(tmp_path, seeds=[1, 2, 3])

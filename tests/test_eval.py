@@ -108,20 +108,25 @@ class TestNDCG:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def flat(parts):
+    """One impression after another, and the impressions' lengths."""
+    return np.concatenate(parts), np.array([len(p) for p in parts])
+
+
 class TestEvaluateRanking:
     def test_skips_all_zero_gain_impressions(self):
-        scores = [np.array([0.5, 0.1]), np.array([0.2, 0.9])]
-        gains = [np.array([1, 0]), np.array([0, 0])]
-        finals = [np.array([1, 0]), np.array([0, 0])]
-        report = evaluate_ranking(scores, gains, finals, (2,))
+        scores = [0.5, 0.1, 0.2, 0.9]
+        gains = [1, 0, 0, 0]
+        finals = [1, 0, 0, 0]
+        report = evaluate_ranking(scores, gains, finals, [2, 2], (2,))
         assert report.ndcg_at[2] == pytest.approx(1.0)
         assert report.impressions == 2
 
     def test_global_auc_concatenates_samples(self):
-        scores = [np.array([0.9, 0.1]), np.array([0.8, 0.4])]
-        gains = [np.array([1, 0]), np.array([1, 0])]
-        finals = [np.array([1, 0]), np.array([0, 0])]
-        report = evaluate_ranking(scores, gains, finals, (2,))
+        scores = [0.9, 0.1, 0.8, 0.4]
+        gains = [1, 0, 1, 0]
+        finals = [1, 0, 0, 0]
+        report = evaluate_ranking(scores, gains, finals, [2, 2], (2,))
         assert report.auc == pytest.approx(
             auc([0.9, 0.1, 0.8, 0.4], [1, 0, 0, 0]))
 
@@ -133,7 +138,9 @@ class TestEvaluateRanking:
         scores = [g.astype(float) for g in gains]
         finals = [(g >= 2).astype(int) for g in gains]
         finals[0][:] = [1, 0, 0, 0, 0, 0]
-        report = evaluate_ranking(scores, gains, finals, (2, 6, 12))
+        flat_gains, lengths = flat(gains)
+        report = evaluate_ranking(flat(scores)[0], flat_gains, flat(finals)[0], lengths,
+                                  (2, 6, 12))
         for k in (2, 6, 12):
             assert report.ndcg_at[k] == pytest.approx(1.0)
 
@@ -155,7 +162,8 @@ class TestEvaluateRanking:
         finals = [(g > 1).astype(int) for g in gains]
         finals[0][0], finals[1][0] = 1, 0
         cutoffs = (1, 2, 6, 12, 50)
-        report = evaluate_ranking(scores, gains, finals, cutoffs)
+        report = evaluate_ranking(flat(scores)[0], flat(gains)[0], flat(finals)[0], lengths,
+                                  cutoffs)
 
         live = [(s, g) for s, g in zip(scores, gains) if np.any(g > 0)]
         assert 0 < len(live) < len(scores)
@@ -166,17 +174,19 @@ class TestEvaluateRanking:
             assert report.ndcg_at[k] == total / len(live)
         assert report.impressions == len(scores)
 
-    @pytest.mark.parametrize("scores,gains,cutoffs,match", [
-        ([[0.5, 0.1]], [[1, 0]], (2, 0), "k must be >= 1"),
-        ([[0.5, 0.1]], [[1, -1]], (2,), "gains must be non-negative"),
-        ([[0.5, 0.1], [0.3, 0.2]], [[1, 0], [0, -1]], (2,), "gains must be non-negative"),
-        ([[0.5, 0.1], [0.3, 0.2]], [[1, 0], [1]], (2,), "2 scores vs 1 gains"),
-        ([[0.5, 0.1]], [[1, 0], [1, 0]], (2,), "1 score lists vs 2 gain lists"),
+    @pytest.mark.parametrize("scores,gains,lengths,cutoffs,match", [
+        ([0.5, 0.1], [1, 0], [2], (2, 0), "k must be >= 1"),
+        ([0.5, 0.1], [1, -1], [2], (2,), "gains must be non-negative"),
+        ([0.5, 0.1, 0.3, 0.2], [1, 0, 0, -1], [2, 2], (2,), "gains must be non-negative"),
+        ([0.5, 0.1, 0.3, 0.2], [1, 0, 1], [2, 2], (2,), "4 scores vs 3 gains"),
+        ([0.5, 0.1], [1, 0], [2, 2], (2,), "lengths must be positive integers summing to the 2"),
+        ([0.5, 0.1, 0.3], [1, 0, 1], [2], (2,), "summing to the 3 scores"),
+        ([0.5, 0.1, 0.3], [1, 0, 1], [3, 0], (2,), "summing to the 3 scores"),
+        ([0.5, 0.1], [1, 0], [], (2,), "no impressions to evaluate"),
     ], ids=["k-zero", "negative-gain", "negative-gain-in-zero-row", "length-mismatch",
-            "list-count-mismatch"])
-    def test_invalid_input_rejected(self, scores, gains, cutoffs, match):
-        finals = [np.zeros(len(s), dtype=int) for s in scores]
-        finals[0][0] = 1
+            "list-count-mismatch", "lengths-short", "zero-length", "no-lengths"])
+    def test_invalid_input_rejected(self, scores, gains, lengths, cutoffs, match):
+        finals = np.zeros(len(scores), dtype=int)
+        finals[0] = 1
         with pytest.raises(ValueError, match=match):
-            evaluate_ranking([np.array(s) for s in scores], [np.array(g) for g in gains],
-                             finals, cutoffs)
+            evaluate_ranking(scores, gains, finals, lengths, cutoffs)

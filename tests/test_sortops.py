@@ -240,29 +240,33 @@ class TestSortLoss:
 
 
 class TestSpanCheck:
-    """Every span loss rejects spans that do not tile its column in order,
-    naming the first bad span, instead of returning a number or a numpy error."""
+    """Every impression loss rejects lengths that are not positive integers
+    summing to its column's rows, naming itself, instead of returning a
+    number or a numpy error."""
 
-    @pytest.mark.parametrize("spans,message", [
-        ([(0, 3), (3, 8)], r"span 1 \(3, 8\) runs past the column of 5 rows"),
-        ([(0, 2), (3, 5)], r"span 1 \(3, 5\) leaves rows 2..2 uncovered"),
-        ([(0, 2), (2, 2), (2, 5)], r"span 1 \(2, 2\) is empty"),
-        ([(0, 3), (2, 5)], r"span 1 \(2, 5\) overlaps the span before it"),
-        ([(0, 2), (2, 4)], r"span 1 \(2, 4\) leaves rows 4..4 uncovered"),
-        ([(-1, 5)], r"span 0 \(-1, 5\) runs past"),
-        ([], "no spans for a column of 5 rows"),
-    ], ids=["past-end", "gap", "empty", "overlap", "short", "negative", "none"])
+    @pytest.mark.parametrize("lengths", [
+        [2, 0, 3],
+        [6, -1],
+        [2.0, 3.0],
+        np.array([], dtype=np.intp),
+        [[2, 3]],
+        [2, 2],
+        [3, 5],
+    ], ids=["empty", "negative", "float", "none", "2-d", "short", "past-end"])
     @pytest.mark.parametrize("loss", [bce_loss, ranknet_loss, listnet_loss],
                              ids=lambda f: f.__name__)
-    def test_bad_spans_raise_shape_mismatch(self, loss, spans, message):
+    def test_bad_spans_raise_shape_mismatch(self, loss, lengths):
         p = Graph().tensor(np.linspace(0.1, 0.9, 5))
-        with pytest.raises(ShapeMismatchError, match=f"{loss.__name__}: {message}"):
-            loss(p, [1, 0, 1, 0, 1], spans)
+        message = (f"{loss.__name__}: impression lengths .* are not positive integers "
+                   "summing to the column's 5 rows")
+        with pytest.raises(ShapeMismatchError, match=message):
+            loss(p, [1, 0, 1, 0, 1], lengths)
 
     def test_tiling_spans_accepted(self):
         p = Graph().tensor(np.linspace(0.1, 0.9, 5))
         for loss in (bce_loss, ranknet_loss, listnet_loss):
-            loss(p, [1, 0, 1, 0, 1], [(0, 1), (1, 5)])
+            loss(p, [1, 0, 1, 0, 1], [1, 4])
+            loss(p, [1, 0, 1, 0, 1], np.array([1, 4], dtype=np.uint8))
 
 
 class TestBCELoss:
@@ -288,10 +292,10 @@ class TestBCELoss:
     def test_mean_per_span_then_over_spans(self):
         p = np.array([0.9, 0.2, 0.6, 0.3, 0.7])
         y = np.array([1, 0, 1, 1, 0])
-        spans = [(0, 2), (2, 5)]
+        lengths = [2, 3]
         per_sample = -(y * np.log(p) + (1 - y) * np.log(1 - p))
-        expected = np.mean([per_sample[a:b].mean() for a, b in spans])
-        loss = bce_loss(Graph().tensor(p), y, spans).item()
+        expected = np.mean([part.mean() for part in np.split(per_sample, [2])])
+        loss = bce_loss(Graph().tensor(p), y, lengths).item()
         assert loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -327,7 +331,8 @@ class TestRanknetLoss:
     def test_mean_per_span_then_over_spans(self):
         s = np.random.default_rng(10).standard_normal(9)
         y = [2, 1, 0, 0, 1, 1, 0, 1, 1]
-        spans = [(0, 4), (4, 7), (7, 9)]  # the last span has no ordered pair
+        lengths = [4, 3, 2]  # the last impression has no ordered pair
+        bounds = [(0, 4), (4, 7), (7, 9)]
 
         def span_loss(a, b):
             pairs = [(i, j) for i in range(a, b) for j in range(a, b) if y[i] > y[j]]
@@ -335,8 +340,8 @@ class TestRanknetLoss:
                 return 0.0
             return np.mean([math.log1p(math.exp(-(s[i] - s[j]))) for i, j in pairs])
 
-        expected = np.mean([span_loss(a, b) for a, b in spans])
-        loss = ranknet_loss(Graph().tensor(s), y, spans).item()
+        expected = np.mean([span_loss(a, b) for a, b in bounds])
+        loss = ranknet_loss(Graph().tensor(s), y, lengths).item()
         assert loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -365,9 +370,9 @@ class TestListnetLoss:
         rng = np.random.default_rng(12)
         s = rng.standard_normal(10)
         y = rng.standard_normal(10)
-        spans = [(0, 3), (3, 7), (7, 10)]
-        single = [listnet_loss(Graph().tensor(s[a:b]), y[a:b]).item() for a, b in spans]
-        loss = listnet_loss(Graph().tensor(s), y, spans).item()
+        bounds = [(0, 3), (3, 7), (7, 10)]
+        single = [listnet_loss(Graph().tensor(s[a:b]), y[a:b]).item() for a, b in bounds]
+        loss = listnet_loss(Graph().tensor(s), y, [3, 4, 3]).item()
         assert loss == (single[0] + single[1] + single[2]) * (1.0 / 3)
 
 
