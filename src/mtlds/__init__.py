@@ -22,7 +22,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 del _var
 
-from .aggregate import LabelSequence, aggregate_columns, aggregate_labels
+from .aggregate import LabelSequence, aggregate_columns
 from .data import (Dataset, Impression, Sample, Schema, SynthConfig, label_matrix, load_dataset,
                    synthesize)
 from .evaluation import MetricReport, auc, ndcg_at_k
@@ -52,7 +52,6 @@ __all__ = [
     "Tensor",
     "TrainReport",
     "aggregate_columns",
-    "aggregate_labels",
     "argsort_desc",
     "auc",
     "evaluate_model",

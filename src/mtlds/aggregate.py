@@ -19,14 +19,6 @@ class LabelOrderError(ValueError):
     """A later behavior label is set without the earlier one."""
 
 
-def first_label_violation(labels: Sequence[int]) -> int | None:
-    """First index t with labels[t+1] > labels[t], or None when monotone."""
-    for t in range(len(labels) - 1):
-        if labels[t + 1] > labels[t]:
-            return t
-    return None
-
-
 @dataclass(frozen=True)
 class LabelSequence:
     """Ordered binary behavior labels; index 0 is the click, later indices
@@ -38,10 +30,9 @@ class LabelSequence:
     def __post_init__(self) -> None:
         if any(l not in (0, 1) for l in self.labels):
             raise LabelOrderError(f"labels must be binary, got {self.labels}")
-        t = first_label_violation(self.labels)
-        if t is not None:
-            raise LabelOrderError(
-                f"label {t + 1} set without label {t}: {self.labels}")
+        for t in range(len(self.labels) - 1):
+            if self.labels[t + 1] > self.labels[t]:
+                raise LabelOrderError(f"label {t + 1} set without label {t} (pair ({t}, {t + 1}))")
 
 
 def aggregate_columns(
@@ -79,18 +70,13 @@ def aggregate_columns(
     return fn.matmul(fn.concat_cols(cols), weight)
 
 
-def aggregate_labels(labels: np.ndarray) -> np.ndarray:
-    """Row sums of an (n, T) label matrix: each item's behavior depth, the
-    length of its user's behavior prefix."""
-    return labels.sum(axis=1)
-
-
 def label_gain(labels: np.ndarray, gain: str) -> np.ndarray:
     """Each item's target under ``gain``, from an (n, T) label matrix: its
-    behavior depth for ``"depth"``, its final-task label for ``"final"``."""
+    behavior depth (the row sum, the length of its user's behavior prefix)
+    for ``"depth"``, its final-task label for ``"final"``."""
     if gain not in GAINS:
         raise ValueError(f"gain must be 'depth' or 'final', got {gain!r}")
-    return aggregate_labels(labels) if gain == "depth" else labels[:, -1]
+    return labels.sum(axis=1) if gain == "depth" else labels[:, -1]
 
 
 def label_permutation(scores: Sequence[int]) -> np.ndarray:
@@ -98,8 +84,6 @@ def label_permutation(scores: Sequence[int]) -> np.ndarray:
     labels.
 
     Stable descending sort, so equal scores keep their original order and the
-    matrix is deterministic.
+    matrix is deterministic.  Empty input raises ValueError (``argsort_desc``).
     """
-    if len(scores) == 0:
-        raise ValueError("empty impression")
     return perm_matrix(argsort_desc(np.asarray(scores, dtype=np.float64)))

@@ -14,10 +14,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregate import LabelSequence, aggregate_columns, label_permutation
+from .aggregate import LabelSequence, aggregate_columns
 from .data import FieldSpec, Impression, Sample, Schema
 from .gradcore import Graph, Tensor, fn, grad_check
-from .model import MODEL_KINDS, ModelConfig, SharedBottomModel
+from .model import MODEL_KINDS, ModelConfig, SharedBottomModel, softsort_loss
 from .sortops import (
     argsort_desc,
     bce_loss,
@@ -25,7 +25,6 @@ from .sortops import (
     listnet_loss,
     ranknet_loss,
     soft_sort,
-    sort_loss,
 )
 
 KINK_MARGIN = 1e-3
@@ -128,7 +127,7 @@ def check_registry_ops(trials: int = 20, seed: int = 0, tol: float = 1e-4) -> li
 
 
 def check_losses(trials: int = 20, seed: int = 1) -> list[CheckResult]:
-    """Each loss on two impressions, as in a training batch."""
+    """Each loss that training calls, on two impressions as in a training batch."""
     rng = np.random.default_rng(seed)
     worst_sort = worst_listnet = worst_ranknet = worst_bce = 0.0
     for _ in range(trials):
@@ -137,10 +136,7 @@ def check_losses(trials: int = 20, seed: int = 1) -> list[CheckResult]:
         cut = int(rng.integers(2, n))
         lengths = [cut, n - cut]
         labels = rng.integers(0, 3, size=n)
-        rows = np.split(np.arange(n), [cut])
-        perms = [label_permutation(labels[r]) for r in rows]
-        worst_sort = max(worst_sort, grad_check(
-            lambda t: sort_loss([soft_sort(fn.gather_rows(t, r), 1.0) for r in rows], perms), s))
+        worst_sort = max(worst_sort, grad_check(lambda t: softsort_loss(t, labels, lengths), s))
         y = rng.standard_normal(n)
         worst_listnet = max(worst_listnet, grad_check(lambda t: listnet_loss(t, y, lengths), s))
         graded = rng.integers(0, 3, size=n)

@@ -108,11 +108,11 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("data section must contain only 'synth' and/or 'path'")
     synth_cfg = None
     if "synth" in data_raw:
-        synth_raw = dict(data_raw["synth"] or {})
-        for key in ("tasks", "biases"):
-            if key in synth_raw:
-                synth_raw[key] = tuple(synth_raw[key])
         try:
+            synth_raw = dict(data_raw["synth"] or {})
+            for key in ("tasks", "biases"):
+                if key in synth_raw:
+                    synth_raw[key] = tuple(synth_raw[key])
             synth_cfg = SynthConfig(**synth_raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad data.synth section: {exc}") from exc

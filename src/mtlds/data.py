@@ -6,14 +6,15 @@ File format (tab-separated, one sample per line, header first):
     !schema<TAB>user=<name:card|...><TAB>item=<name:card|...><TAB>dense=<k><TAB>tasks=<t1,t2,...>
     <impression_id><TAB><user ids |-sep><TAB><item ids |-sep><TAB><dense ,-sep><TAB><labels ,-sep>
 
-The file is UTF-8.  The dense column is empty when the schema declares
-dense=0.  Ids are integers within int64.  Labels are 0 or 1 and monotone
-non-increasing (a post-click action requires the click).  Every violation
-raises, naming the line.
+The file is UTF-8, and the header gives each of its four keys once.  The
+dense column is empty when the schema declares dense=0.  Ids are integers
+within int64.  Labels are 0 or 1 and monotone non-increasing (a post-click
+action requires the click).  Every violation raises, naming the line.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from contextlib import contextmanager
@@ -24,9 +25,10 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .aggregate import LabelOrderError, LabelSequence, first_label_violation
+from .aggregate import LabelOrderError, LabelSequence
 
 SCHEMA_PREFIX = "!schema"
+HEADER_KEYS = ("user", "item", "dense", "tasks")
 
 
 class DatasetFormatError(ValueError):
@@ -134,8 +136,11 @@ def _parse_header(line: str, line_no: int) -> Schema:
         key, sep, value = part.partition("=")
         if not sep:
             raise DatasetFormatError(f"line {line_no}: bad header token {part!r}")
+        if key not in HEADER_KEYS or key in kv:
+            what = "repeated" if key in kv else "unknown"
+            raise DatasetFormatError(f"line {line_no}: {what} header key {key!r}")
         kv[key] = value
-    missing = {"user", "item", "dense", "tasks"} - kv.keys()
+    missing = set(HEADER_KEYS) - kv.keys()
     if missing:
         raise DatasetFormatError(f"line {line_no}: header missing {sorted(missing)}")
     tasks = tuple(t for t in kv["tasks"].split(",") if t)
@@ -191,14 +196,11 @@ def _parse_line(line: str, schema: Schema, line_no: int) -> tuple[str, Sample]:
             f"line {line_no}: expected {schema.task_count} labels, got {len(raw_labels)}")
     try:
         labels = LabelSequence(raw_labels)
-    except LabelOrderError:  # name the line and which rule the labels break
+    except LabelOrderError as exc:  # name the line, and the impression of an order fault
         if not set(raw_labels) <= {0, 1}:
             raise DatasetFormatError(
                 f"line {line_no}: labels must be 0 or 1, got {label_text!r}") from None
-        t = first_label_violation(raw_labels)
-        raise LabelOrderError(
-            f"line {line_no}: impression {imp_id!r} has label {t + 1} set "
-            f"without label {t} (pair ({t}, {t + 1}))") from None
+        raise LabelOrderError(f"line {line_no}: impression {imp_id!r} has {exc}") from None
     return imp_id, Sample(user_ids, item_ids, dense, labels)
 
 
@@ -261,8 +263,9 @@ def _format_fields(fields: tuple[FieldSpec, ...]) -> str:
 
 
 def write_dataset(ds: Dataset, path) -> None:
-    """Write a dataset in the documented format (floats via shortest repr)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a dataset in the documented format (floats via shortest repr),
+    atomically (see ``atomic_open``)."""
+    with atomic_open(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
         fh.write(
             f"{SCHEMA_PREFIX}\tuser={_format_fields(ds.schema.user_fields)}"
             f"\titem={_format_fields(ds.schema.item_fields)}"

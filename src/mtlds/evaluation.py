@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .gradcore.tensor import length_blocks
+from .sortops import check_lengths
 
 
 class UndefinedMetricError(ValueError):
@@ -92,7 +93,8 @@ def evaluate_ranking(
 ) -> MetricReport:
     """Metrics over impressions laid out flat: ``scores``, ``gains`` and
     ``final_labels`` hold one entry per sample, one impression after another,
-    and ``lengths`` the number of samples of each impression.
+    and ``lengths`` the number of samples of each impression, which must pass
+    ``sortops.check_lengths`` (a ``ShapeMismatchError``, so a ValueError).
 
     AUC of the final task is computed globally over all samples.  NDCG is per
     impression, skipping impressions whose gains are all zero, and averaged
@@ -106,15 +108,11 @@ def evaluate_ranking(
             raise ValueError(f"k must be >= 1, got {k}")
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     gains = np.asarray(gains, dtype=np.float64).reshape(-1)
-    lengths = np.asarray(lengths)
-    if lengths.size == 0:
+    if np.size(lengths) == 0:
         raise ValueError("no impressions to evaluate")
     if scores.shape != gains.shape:
         raise ValueError(f"{scores.size} scores vs {gains.size} gains")
-    if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or np.any(lengths < 1)
-            or lengths.sum() != scores.size):
-        raise ValueError(
-            f"impression lengths must be positive integers summing to the {scores.size} scores")
+    lengths = check_lengths(lengths, scores.size, "evaluate_ranking")
     if np.any(gains < 0):
         raise ValueError("gains must be non-negative")
 

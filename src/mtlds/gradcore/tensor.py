@@ -31,7 +31,7 @@ class GradcoreError(Exception):
     """Base class for computation-graph errors."""
 
 
-class ShapeMismatchError(GradcoreError):
+class ShapeMismatchError(GradcoreError, ValueError):
     """Operands have shapes the operation cannot accept."""
 
 

@@ -11,7 +11,7 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -20,9 +20,10 @@ from .aggregate import AGGREGATOR_KINDS, aggregate_columns, label_gain, label_pe
 from .data import (Dataset, FieldSpec, Impression, Sample, Schema, atomic_open,
                    batch_impressions, label_matrix, require_int)
 from .evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
-from .gradcore import AdamState, Graph, Tensor, adam_step, fn
+from .gradcore import AdamState, Graph, ShapeMismatchError, Tensor, adam_step, fn
 from .sortops import (
     bce_loss,
+    check_lengths,
     listnet_loss,
     ranknet_loss,
     soft_sort,
@@ -49,9 +50,6 @@ KIND_RULES = {
     "dnn_diffsort": KindRule(1, "none", "sort", "depth"),
 }
 MODEL_KINDS = tuple(KIND_RULES)
-# losses of an (n, 1) column against a target vector, averaged over the
-# impressions; "sort" is SharedBottomModel._sort_loss
-COLUMN_LOSSES = {"bce": bce_loss, "ranknet": ranknet_loss, "listnet": listnet_loss}
 TASK_LOSSES = ("bce", "ranknet")
 VALIDATION_CUTOFF = 6
 # impressions per graph when scoring; bounds the tape's memory
@@ -155,6 +153,29 @@ def flatten(impressions: Sequence[Impression]) -> tuple[list[Sample], np.ndarray
     return samples, np.array([len(imp) for imp in impressions], dtype=np.intp)
 
 
+def softsort_loss(col: Tensor, target: Sequence[float] | np.ndarray,
+                  lengths: Sequence[int] | np.ndarray | None = None, tau: float = 1.0) -> Tensor:
+    """The paper's sort term: ``sort_loss`` of each impression's SoftSort
+    matrix against the hard permutation of its ``target`` (``lengths`` rows
+    each, in turn; one impression by default), averaged over impressions, with
+    ``soft_sort`` and ``label_permutation`` once per impression in order.  A
+    non-finite column has no sort order: its loss is NaN, a divergence to ``fit``."""
+    yv = np.asarray(target, dtype=np.float64).reshape(-1)
+    if col.cols != 1 or col.rows != yv.size:
+        raise ShapeMismatchError(f"softsort_loss: scores {col.shape} vs {yv.size} labels")
+    cuts = np.cumsum(check_lengths(lengths, col.rows, "softsort_loss"))[:-1]
+    if not np.all(np.isfinite(col.value)):
+        return col.graph.tensor(np.nan)
+    p_hats = [soft_sort(fn.gather_rows(col, rows), tau)
+              for rows in np.split(np.arange(col.rows), cuts)]
+    return sort_loss(p_hats, [label_permutation(part) for part in np.split(yv, cuts)])
+
+
+# losses of an (n, 1) column against a target vector, averaged over the impressions
+COLUMN_LOSSES = {"sort": softsort_loss, "bce": bce_loss, "ranknet": ranknet_loss,
+                 "listnet": listnet_loss}
+
+
 class SharedBottomModel:
     """Hard parameter sharing: common bottom layers plus one tower per task.
 
@@ -247,15 +268,9 @@ class SharedBottomModel:
 
     # ------------------------------------------------------------------ losses
 
-    def _sort_loss(self, col: Tensor, labels: np.ndarray, lengths: np.ndarray) -> Tensor:
-        """Mean over the batch's impressions of the SoftSort sort loss of ``col``."""
-        cuts = np.cumsum(lengths)[:-1]
-        p_hats = [soft_sort(fn.gather_rows(col, rows), self.config.tau)
-                  for rows in np.split(np.arange(col.rows), cuts)]
-        return sort_loss(p_hats, [label_permutation(part) for part in np.split(labels, cuts)])
-
     def _loss(self, name: str):
-        return self._sort_loss if name == "sort" else COLUMN_LOSSES[name]
+        loss = COLUMN_LOSSES[name]
+        return partial(loss, tau=self.config.tau) if name == "sort" else loss
 
     def loss_components(
         self,

@@ -8,7 +8,7 @@ from mtlds.aggregate import (
     LabelOrderError,
     LabelSequence,
     aggregate_columns,
-    aggregate_labels,
+    label_gain,
     label_permutation,
 )
 from mtlds.gradcore import Graph, fn, grad_check
@@ -110,11 +110,11 @@ class TestAggregatePredictions:
 class TestLabelAggregation:
     @pytest.mark.parametrize("labels,expected", [((1, 1), 2), ((0, 0), 0), ((1, 1, 0), 2)])
     def test_depth_scores(self, labels, expected):
-        assert aggregate_labels(np.array([labels])).tolist() == [expected]
+        assert label_gain(np.array([labels]), "depth").tolist() == [expected]
 
     def test_behavioral_depth_ordering(self):
-        purchased, carted, clicked, skipped = aggregate_labels(
-            np.array([(1, 1, 1), (1, 1, 0), (1, 0, 0), (0, 0, 0)]))
+        purchased, carted, clicked, skipped = label_gain(
+            np.array([(1, 1, 1), (1, 1, 0), (1, 0, 0), (0, 0, 0)]), "depth")
         assert purchased > carted > clicked > skipped
 
 

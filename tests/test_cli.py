@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -130,6 +131,15 @@ class TestTrain:
                            timeout=600)
             reports.append((out / "seed1" / "report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_divergence_exits_1_with_one_line(self, tmp_path):
+        model = {"kind": "mtlds", "learning_rate": 1.0e200, "epochs": 1, "batch_size": 8}
+        config = write_config(tmp_path, model=model)
+        with np.errstate(all="ignore"):
+            result = runner.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: loss became non-finite at epoch 1, batch ")
+        assert result.output.count("\n") == 1
 
     def test_seed_flag_overrides_list(self, tmp_path):
         config = write_config(tmp_path, seeds=[1, 2, 3])
@@ -353,10 +363,13 @@ class TestConfigHandling:
                              "tasks": ["click", "cart", "buy"], "biases": [-0.5, -1.0, -1.5]}}},
          "esmm requires exactly 2 tasks, schema has 3"),
         ({"model": {"task_loss": ["bce", "ranknet", "bce"]}}, "3 task losses for 2 towers"),
+        ({"data": {"synth": [1]}}, "bad data.synth section"),
+        ({"data": {"synth": {"tasks": 5}}}, "bad data.synth section"),
+        ({"data": {"synth": {"biases": 3}}}, "bad data.synth section"),
     ], ids=["repeated-seeds", "tau-nan", "tau-inf", "lr-nan", "lr-zero", "esmm-aggregator",
             "mtlds-aggregator", "gain", "rank-by", "weight-nan", "weight-inf", "weight-negative",
             "split-nan", "split-inf", "split-string", "split-negative", "esmm-three-tasks",
-            "task-loss-length"])
+            "task-loss-length", "synth-list", "synth-tasks-number", "synth-biases-number"])
     def test_bad_config_value_exits_2(self, tmp_path, overrides, message):
         config = write_config(tmp_path, **overrides)
         result = runner.invoke(main, ["train", "--config", str(config)])

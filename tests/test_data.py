@@ -1,3 +1,4 @@
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtlds.aggregate import LabelOrderError, LabelSequence, first_label_violation
+from mtlds.aggregate import LabelOrderError, LabelSequence
 from mtlds.data import (
     Dataset,
     DatasetFormatError,
@@ -59,6 +60,18 @@ class TestLoadDataset:
         write_dataset(load_dataset(out1), out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "ds.tsv"
+        write_dataset(load_dataset(FIXTURES / "golden.tsv"), path)
+        before = path.read_bytes()
+        ds = load_dataset(path)
+        bad = Sample((0,), (3, 1), ("not a float", 0.0), LabelSequence((1, 0, 0)))
+        with pytest.raises(ValueError, match="not a float"):
+            write_dataset(Dataset(ds.schema, ds.impressions + (Impression("imp-c", (bad,)),)),
+                          path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_numpy_float_dense_values_round_trip(self, tmp_path):
         schema = Schema((FieldSpec("user_id", 4),), (FieldSpec("item_id", 6),), 2,
                         ("click", "purchase"))
@@ -93,6 +106,9 @@ class TestLoadDataset:
     @pytest.mark.parametrize("fields,message", [
         ("user=id:4\titem=id:6", "unique"),
         ("user=user_id:0\titem=item_id:6", "cardinality"),
+        ("user=user_id:4\titem=item_id:6\tdense=1", "repeated header key 'dense'"),
+        ("user=user_id:4\tuser=shop:3\titem=item_id:6", "repeated header key 'user'"),
+        ("user=user_id:4\titem=item_id:6\textra=x", "unknown header key 'extra'"),
     ])
     def test_bad_header_fields_rejected_at_line_one(self, tmp_path, fields, message):
         path = write_lines(tmp_path, [f"!schema\t{fields}\tdense=0\ttasks=click"])
@@ -262,7 +278,12 @@ class TestValidateLabels:
         ((0, 1), 0),
     ])
     def test_cases(self, labels, expected):
-        assert first_label_violation(labels) == expected
+        if expected is None:
+            LabelSequence(labels)
+        else:
+            pair = f"(pair ({expected}, {expected + 1}))"
+            with pytest.raises(LabelOrderError, match=re.escape(pair)):
+                LabelSequence(labels)
 
 
 class TestSynthesize:
@@ -277,7 +298,7 @@ class TestSynthesize:
     def test_all_label_sequences_valid_by_construction(self):
         ds = synthesize(SynthConfig(impressions=60, users=10, items=30))
         for s in ds.iter_samples():
-            assert first_label_violation(s.labels.labels) is None
+            LabelSequence(s.labels.labels)
 
     def test_huge_negative_bias_suppresses_post_click(self):
         cfg = SynthConfig(impressions=50, users=10, items=30, noise=0.0,

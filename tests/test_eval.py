@@ -179,9 +179,9 @@ class TestEvaluateRanking:
         ([0.5, 0.1], [1, -1], [2], (2,), "gains must be non-negative"),
         ([0.5, 0.1, 0.3, 0.2], [1, 0, 0, -1], [2, 2], (2,), "gains must be non-negative"),
         ([0.5, 0.1, 0.3, 0.2], [1, 0, 1], [2, 2], (2,), "4 scores vs 3 gains"),
-        ([0.5, 0.1], [1, 0], [2, 2], (2,), "lengths must be positive integers summing to the 2"),
-        ([0.5, 0.1, 0.3], [1, 0, 1], [2], (2,), "summing to the 3 scores"),
-        ([0.5, 0.1, 0.3], [1, 0, 1], [3, 0], (2,), "summing to the 3 scores"),
+        ([0.5, 0.1], [1, 0], [2, 2], (2,), "not positive integers summing to the column's 2 rows"),
+        ([0.5, 0.1, 0.3], [1, 0, 1], [2], (2,), "summing to the column's 3 rows"),
+        ([0.5, 0.1, 0.3], [1, 0, 1], [3, 0], (2,), "summing to the column's 3 rows"),
         ([0.5, 0.1], [1, 0], [], (2,), "no impressions to evaluate"),
     ], ids=["k-zero", "negative-gain", "negative-gain-in-zero-row", "length-mismatch",
             "list-count-mismatch", "lengths-short", "zero-length", "no-lengths"])

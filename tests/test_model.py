@@ -511,6 +511,15 @@ class TestFit:
         with pytest.raises(DivergenceError, match="epoch 1, batch 0"):
             fit(small_config(epochs=1), tr, va)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_diverging_run_names_epoch_and_batch(self, kind):
+        # the sort kinds too: a non-finite score column is a non-finite loss,
+        # not a failed argsort
+        tr, va, _ = split(synthesize(SynthConfig(impressions=300)), (0.7, 0.15, 0.15), seed=1)
+        with np.errstate(all="ignore"), pytest.raises(
+                DivergenceError, match="became non-finite at epoch 1, batch 1"):
+            fit(small_config(kind=kind, learning_rate=1.0e200, epochs=1), tr, va)
+
     def test_non_finite_gradient_names_parameter_and_batch(self, datasets):
         tr, va, _ = datasets
         message = r"gradient of 'emb/user_id' became non-finite at epoch 1, batch 0"

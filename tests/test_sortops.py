@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mtlds.gradcore import Graph, grad_check
 from mtlds.gradcore.tensor import ShapeMismatchError
+from mtlds.model import softsort_loss
 from mtlds.sortops import (
     argsort_desc,
     bce_loss,
@@ -253,7 +254,7 @@ class TestSpanCheck:
         [2, 2],
         [3, 5],
     ], ids=["empty", "negative", "float", "none", "2-d", "short", "past-end"])
-    @pytest.mark.parametrize("loss", [bce_loss, ranknet_loss, listnet_loss],
+    @pytest.mark.parametrize("loss", [bce_loss, ranknet_loss, listnet_loss, softsort_loss],
                              ids=lambda f: f.__name__)
     def test_bad_spans_raise_shape_mismatch(self, loss, lengths):
         p = Graph().tensor(np.linspace(0.1, 0.9, 5))
@@ -264,7 +265,7 @@ class TestSpanCheck:
 
     def test_tiling_spans_accepted(self):
         p = Graph().tensor(np.linspace(0.1, 0.9, 5))
-        for loss in (bce_loss, ranknet_loss, listnet_loss):
+        for loss in (bce_loss, ranknet_loss, listnet_loss, softsort_loss):
             loss(p, [1, 0, 1, 0, 1], [1, 4])
             loss(p, [1, 0, 1, 0, 1], np.array([1, 4], dtype=np.uint8))
 
