@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -53,15 +54,9 @@ def aggregate_columns(
     if (weight is not None) != (kind == "linear"):
         raise ValueError("a weight tensor is required for linear and rejected otherwise")
     if kind == "mul":
-        out = cols[0]
-        for c in cols[1:]:
-            out = fn.mul_elem(out, c)
-        return out
+        return reduce(fn.mul_elem, cols)
     if kind == "add":
-        out = cols[0]
-        for c in cols[1:]:
-            out = fn.add(out, c)
-        return out
+        return reduce(fn.add, cols)
     if kind == "max":
         return fn.max_rows(fn.concat_cols(cols))
     if weight.shape != (len(cols), 1):

@@ -1,10 +1,10 @@
 """Runnable verification suite: finite-difference checks for every
 differentiable operation and loss, plus the URS property sweep.
 
-Kinked operations (relu, max, clip, and the absolute value inside
-softsort_logits) are checked on inputs resampled to keep a margin of at least
-1e-3 from the kink, where the subgradient choice cannot disturb central
-differences.
+Kinked operations (relu, max, the clip inside log, and the absolute value
+inside softsort_logits) are checked on inputs resampled to keep a margin of
+at least 1e-3 from the kink, where the subgradient choice cannot disturb
+central differences.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ class CheckResult:
         return self.worst < self.tol
 
 
-def _spread(rng: np.random.Generator, shape: tuple[int, int],
+def _spread(draw: Callable[[tuple[int, int]], np.ndarray], shape: tuple[int, int],
             min_gap: float = KINK_MARGIN) -> np.ndarray:
-    """Random values whose pairwise distances all exceed ``min_gap``."""
+    """Values from ``draw(shape)``, redrawn until their pairwise distances
+    all exceed ``min_gap``."""
     while True:
-        x = rng.standard_normal(shape)
+        x = draw(shape)
         flat = np.sort(x.reshape(-1))
         if flat.size < 2 or np.min(np.diff(flat)) > min_gap:
             return x
@@ -91,18 +92,19 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
         "mul_elem": (lambda x: fn.mul_elem(x, x.graph.tensor(k34)), rng.standard_normal((3, 4))),
         "matmul": (lambda x: fn.matmul(x, x.graph.tensor(k42)), rng.standard_normal((3, 4))),
         "scale": (lambda x: fn.scale(x, -1.7), rng.standard_normal((3, 4))),
-        "log": (lambda x: fn.log(x), rng.uniform(0.5, 2.0, (3, 4))),
+        # negative entries and entries above 1 exercise the clip to [PROB_EPS, 1]
+        "log": (lambda x: fn.log(x), _away_from(rng, (3, 4), [0.0, 1.0])),
         "sigmoid": (lambda x: fn.sigmoid(x), rng.standard_normal((3, 4))),
         "relu": (lambda x: fn.relu(x), _away_from(rng, (3, 4), [0.0])),
         "softmax_rows": (lambda x: fn.softmax_rows(x), rng.standard_normal((3, 4))),
         "sum_all": (lambda x: fn.sum_all(x), rng.standard_normal((3, 4))),
-        "max_rows": (lambda x: fn.max_rows(x), _spread(rng, (3, 4))),
+        "max_rows": (lambda x: fn.max_rows(x), _spread(rng.standard_normal, (3, 4))),
         "gather_rows": (lambda x: fn.gather_rows(x, idx), rng.standard_normal((3, 4))),
         "broadcast_row": (lambda x: fn.broadcast_row(x, 4), rng.standard_normal((3, 1))),
-        "clip": (lambda x: fn.clip(x, -0.5, 0.5), _away_from(rng, (3, 4), [-0.5, 0.5])),
         "concat_cols": (lambda x: fn.concat_cols([x, x.graph.tensor(k34), x]),
                         rng.standard_normal((3, 2))),
-        "softsort_logits": (lambda x: fn.softsort_logits(x, order, 0.7), _spread(rng, (5, 1))),
+        "softsort_logits": (lambda x: fn.softsort_logits(x, order, 0.7),
+                            _spread(rng.standard_normal, (5, 1))),
         "perm_xent": (perm_xent, rng.uniform(0.05, 0.95, (3, 3))),
         "listnet": (lambda x: fn.listnet(x, labels, lengths), rng.standard_normal((7, 1))),
     }
@@ -132,7 +134,7 @@ def check_losses(trials: int = 20, seed: int = 1) -> list[CheckResult]:
     worst_sort = worst_listnet = worst_ranknet = worst_bce = 0.0
     for _ in range(trials):
         n = int(rng.integers(3, 9))
-        s = _spread(rng, (n, 1), min_gap=5e-3)
+        s = _spread(rng.standard_normal, (n, 1), min_gap=5e-3)
         cut = int(rng.integers(2, n))
         lengths = [cut, n - cut]
         labels = rng.integers(0, 3, size=n)
@@ -155,15 +157,6 @@ def check_losses(trials: int = 20, seed: int = 1) -> list[CheckResult]:
     ]
 
 
-def _distinct_probs(rng: np.random.Generator, t_count: int) -> np.ndarray:
-    """Probabilities in (0.05, 0.95) with pairwise gaps above the kink margin."""
-    while True:
-        p = rng.uniform(0.05, 0.95, (t_count, 1))
-        flat = np.sort(p.reshape(-1))
-        if flat.size < 2 or np.min(np.diff(flat)) > KINK_MARGIN:
-            return p
-
-
 def check_aggregators(trials: int = 20, seed: int = 2, tol: float = 1e-5) -> list[CheckResult]:
     """Gradient of each aggregation operator w.r.t. the task probabilities;
     the max kind is checked away from ties."""
@@ -174,7 +167,7 @@ def check_aggregators(trials: int = 20, seed: int = 2, tol: float = 1e-5) -> lis
         for _ in range(trials):
             t_count = int(rng.integers(2, 5))
             w = rng.uniform(0.5, 3.0, (t_count, 1)) if kind == "linear" else None
-            l_hat = _distinct_probs(rng, t_count)
+            l_hat = _spread(lambda shape: rng.uniform(0.05, 0.95, shape), (t_count, 1))
 
             def f(t: Tensor, w_=w) -> Tensor:
                 weight = None if w_ is None else t.graph.tensor(w_)

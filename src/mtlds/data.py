@@ -59,6 +59,8 @@ class Schema:
                 raise ValueError(f"field {f.name!r}: cardinality must be >= 1, got {f.cardinality}")
         if self.dense_count < 0:
             raise ValueError(f"dense count must be >= 0, got {self.dense_count}")
+        if not all(self.tasks):
+            raise ValueError(f"task names must be non-empty, got {list(self.tasks)}")
         if len(set(self.tasks)) != len(self.tasks):
             raise ValueError(f"task names must be distinct, got {list(self.tasks)}")
 
@@ -143,9 +145,6 @@ def _parse_header(line: str, line_no: int) -> Schema:
     missing = set(HEADER_KEYS) - kv.keys()
     if missing:
         raise DatasetFormatError(f"line {line_no}: header missing {sorted(missing)}")
-    tasks = tuple(t for t in kv["tasks"].split(",") if t)
-    if not tasks:
-        raise DatasetFormatError(f"line {line_no}: header declares no tasks")
     try:
         dense_count = int(kv["dense"])
     except ValueError:
@@ -153,7 +152,7 @@ def _parse_header(line: str, line_no: int) -> Schema:
     user_fields = _parse_fields(kv["user"], "user", line_no)
     item_fields = _parse_fields(kv["item"], "item", line_no)
     try:
-        return Schema(user_fields, item_fields, dense_count, tasks)
+        return Schema(user_fields, item_fields, dense_count, tuple(kv["tasks"].split(",")))
     except ValueError as exc:
         raise DatasetFormatError(f"line {line_no}: {exc}") from None
 
@@ -333,6 +332,12 @@ def synthesize(cfg: SynthConfig) -> Dataset:
     a cascade, so a behavior can fire only when the previous one did and the
     sequences are monotone by construction.
     """
+    schema = Schema(
+        user_fields=(FieldSpec("user_id", cfg.users),),
+        item_fields=(FieldSpec("item_id", cfg.items),),
+        dense_count=0,
+        tasks=cfg.tasks,
+    )
     rng = np.random.default_rng(cfg.seed)
     u_vecs = rng.standard_normal((cfg.users, cfg.latent_dim))
     v_vecs = rng.standard_normal((cfg.items, len(cfg.tasks), cfg.latent_dim))
@@ -352,13 +357,6 @@ def synthesize(cfg: SynthConfig) -> Dataset:
             Sample(user_ids=(user,), item_ids=(item,), dense=(), labels=LabelSequence(tuple(row)))
             for item, row in zip(items.tolist(), labels.tolist()))
         impressions.append(Impression(f"imp{k:06d}", samples))
-
-    schema = Schema(
-        user_fields=(FieldSpec("user_id", cfg.users),),
-        item_fields=(FieldSpec("item_id", cfg.items),),
-        dense_count=0,
-        tasks=cfg.tasks,
-    )
     return Dataset(schema=schema, impressions=tuple(impressions))
 
 

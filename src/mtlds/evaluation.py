@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .gradcore.tensor import length_blocks
-from .sortops import check_lengths
+from .sortops import check_lengths, ndcg_position_weights
 
 
 class UndefinedMetricError(ValueError):
@@ -126,7 +126,7 @@ def evaluate_ranking(
         S, G = scores[cols], gains[cols]
         by_score = np.take_along_axis(G, np.argsort(-S, axis=1, kind="stable"), axis=1)
         ideal = np.sort(G, axis=1)[:, ::-1]
-        discounts = 1.0 / np.log2(np.arange(2, n + 2))
+        discounts = ndcg_position_weights(n)
         dcg = (2.0 ** by_score - 1.0) * discounts
         ideal_dcg = (2.0 ** ideal - 1.0) * discounts
         for i, k in enumerate(cutoffs):

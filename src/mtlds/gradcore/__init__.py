@@ -5,7 +5,6 @@ from .gradcheck import NondeterministicFunctionError, corrupted_vjp, grad_check
 from .optim import AdamState, adam_step
 from .tensor import (
     OPS,
-    DomainError,
     GradcoreError,
     Graph,
     GraphStateError,
@@ -16,7 +15,6 @@ from .tensor import (
 
 __all__ = [
     "AdamState",
-    "DomainError",
     "GradcoreError",
     "Graph",
     "GraphStateError",

@@ -30,6 +30,8 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
+    """Natural log of ``x`` clipped to [PROB_EPS, 1]; the gradient is 0 where
+    the clip is active."""
     return x.graph.apply("log", [x])
 
 
@@ -59,10 +61,6 @@ def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
 
 def broadcast_row(v: Tensor, rows: int) -> Tensor:
     return v.graph.apply("broadcast_row", [v], rows=int(rows))
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    return x.graph.apply("clip", [x], lo=float(lo), hi=float(hi))
 
 
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:

@@ -22,8 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Probability clip applied before every logarithm of the losses: the
-# cross-entropies are undefined at exact 0/1 and soft probabilities underflow.
+# The ``log`` op clips its input to [PROB_EPS, 1]: the losses take logs of
+# probabilities only, the cross-entropies are undefined at exact 0/1 and soft
+# probabilities underflow.
 PROB_EPS = 1e-12
 
 
@@ -33,10 +34,6 @@ class GradcoreError(Exception):
 
 class ShapeMismatchError(GradcoreError, ValueError):
     """Operands have shapes the operation cannot accept."""
-
-
-class DomainError(GradcoreError):
-    """An input lies outside the mathematical domain of the operation."""
 
 
 class GraphStateError(GradcoreError):
@@ -88,6 +85,10 @@ class Tensor:
 
 
 class _Node:
+    """One tape entry.  Kept apart from ``Tensor`` on purpose: no entry refers
+    to its ``Graph``, so a step's graph has no reference cycle and reference
+    counting frees it as soon as the step drops it."""
+
     __slots__ = ("op", "parents", "value", "attrs")
 
     def __init__(self, op: str, parents: tuple[int, ...], value: np.ndarray, attrs: dict):
@@ -145,10 +146,7 @@ def _fwd_scale(xs, attrs):
 
 
 def _fwd_log(xs, attrs):
-    x = xs[0]
-    if np.any(x <= 0.0):
-        raise DomainError(f"log: non-positive input (min {x.min()}); clip first")
-    return np.log(x)
+    return np.log(np.clip(xs[0], PROB_EPS, 1.0))
 
 
 def _fwd_sigmoid(xs, attrs):
@@ -196,10 +194,6 @@ def _fwd_broadcast_row(xs, attrs):
     return np.tile(v.T, (attrs["rows"], 1))
 
 
-def _fwd_clip(xs, attrs):
-    return np.clip(xs[0], attrs["lo"], attrs["hi"])
-
-
 def _fwd_concat_cols(xs, attrs):
     if len({x.shape[0] for x in xs}) != 1:
         raise ShapeMismatchError(
@@ -229,7 +223,8 @@ def _vjp_scale(g, xs, out, attrs):
 
 
 def _vjp_log(g, xs, out, attrs):
-    return [g / xs[0]]
+    x = xs[0]
+    return [g / np.clip(x, PROB_EPS, 1.0) * ((x >= PROB_EPS) & (x <= 1.0))]
 
 
 def _vjp_sigmoid(g, xs, out, attrs):
@@ -266,11 +261,6 @@ def _vjp_gather_rows(g, xs, out, attrs):
 
 def _vjp_broadcast_row(g, xs, out, attrs):
     return [g.sum(axis=0).reshape(-1, 1)]
-
-
-def _vjp_clip(g, xs, out, attrs):
-    x = xs[0]
-    return [g * ((x >= attrs["lo"]) & (x <= attrs["hi"]))]
 
 
 def _vjp_concat_cols(g, xs, out, attrs):
@@ -397,7 +387,6 @@ OPS: dict[str, _OpDef] = {
     "max_rows": _OpDef(1, _fwd_max_rows, _vjp_max_rows),
     "gather_rows": _OpDef(1, _fwd_gather_rows, _vjp_gather_rows),
     "broadcast_row": _OpDef(1, _fwd_broadcast_row, _vjp_broadcast_row),
-    "clip": _OpDef(1, _fwd_clip, _vjp_clip),
     "concat_cols": _OpDef(None, _fwd_concat_cols, _vjp_concat_cols),
     "softsort_logits": _OpDef(1, _fwd_softsort_logits, _vjp_softsort_logits),
     "perm_xent": _OpDef(None, _fwd_perm_xent, _vjp_perm_xent),

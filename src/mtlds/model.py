@@ -20,10 +20,11 @@ from .aggregate import AGGREGATOR_KINDS, aggregate_columns, label_gain, label_pe
 from .data import (Dataset, FieldSpec, Impression, Sample, Schema, atomic_open,
                    batch_impressions, label_matrix, require_int)
 from .evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
-from .gradcore import AdamState, Graph, ShapeMismatchError, Tensor, adam_step, fn
+from .gradcore import AdamState, Graph, Tensor, adam_step, fn
 from .sortops import (
     bce_loss,
-    check_lengths,
+    check_tau,
+    column_inputs,
     listnet_loss,
     ranknet_loss,
     soft_sort,
@@ -94,8 +95,7 @@ class ModelConfig:
         if self.aggregator not in AGGREGATOR_KINDS:
             raise ValueError(
                 f"unknown aggregator {self.aggregator!r}; choose from {AGGREGATOR_KINDS}")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        check_tau(self.tau)
         if not (np.isfinite(self.sort_loss_weight) and self.sort_loss_weight >= 0):
             raise ValueError(f"sort_loss_weight must be finite and >= 0, got {self.sort_loss_weight}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -160,10 +160,8 @@ def softsort_loss(col: Tensor, target: Sequence[float] | np.ndarray,
     each, in turn; one impression by default), averaged over impressions, with
     ``soft_sort`` and ``label_permutation`` once per impression in order.  A
     non-finite column has no sort order: its loss is NaN, a divergence to ``fit``."""
-    yv = np.asarray(target, dtype=np.float64).reshape(-1)
-    if col.cols != 1 or col.rows != yv.size:
-        raise ShapeMismatchError(f"softsort_loss: scores {col.shape} vs {yv.size} labels")
-    cuts = np.cumsum(check_lengths(lengths, col.rows, "softsort_loss"))[:-1]
+    yv, lengths = column_inputs(col, target, lengths, "softsort_loss")
+    cuts = np.cumsum(lengths)[:-1]
     if not np.all(np.isfinite(col.value)):
         return col.graph.tensor(np.nan)
     p_hats = [soft_sort(fn.gather_rows(col, rows), tau)
@@ -428,42 +426,45 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
     best_params = {n: a.copy() for n, a in model.params.items()}
     best_epoch = 0
 
-    for epoch in range(1, config.epochs + 1):
-        batch_losses = []
-        for b_idx, batch in enumerate(
-                batch_impressions(train, config.batch_size, seed=config.seed, epoch=epoch - 1)):
-            graph = Graph()
-            pt = model.bind(graph)
-            loss = model.batch_loss(graph, batch, pt)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"loss became non-finite at epoch {epoch}, batch {b_idx}")
-            grads_map = graph.backward(loss)
-            grads = [grads_map.get(pt[n].node_id, np.zeros_like(model.params[n]))
-                     for n in names]
-            for n, g in zip(names, grads):
-                if not np.isfinite(g).all():
+    # a diverging step overflows in numpy before the checks below see it;
+    # they report it, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            batch_losses = []
+            for b_idx, batch in enumerate(
+                    batch_impressions(train, config.batch_size, seed=config.seed, epoch=epoch - 1)):
+                graph = Graph()
+                pt = model.bind(graph)
+                loss = model.batch_loss(graph, batch, pt)
+                value = loss.item()
+                if not np.isfinite(value):
                     raise DivergenceError(
-                        f"gradient of {n!r} became non-finite at epoch {epoch}, batch {b_idx}")
-            updated = adam_step([model.params[n] for n in names], grads, state,
-                                lr=config.learning_rate)
-            for n, arr in zip(names, updated):
-                model.params[n] = arr
-            batch_losses.append(value)
+                        f"loss became non-finite at epoch {epoch}, batch {b_idx}")
+                grads_map = graph.backward(loss)
+                grads = [grads_map.get(pt[n].node_id, np.zeros_like(model.params[n]))
+                         for n in names]
+                for n, g in zip(names, grads):
+                    if not np.isfinite(g).all():
+                        raise DivergenceError(
+                            f"gradient of {n!r} became non-finite at epoch {epoch}, batch {b_idx}")
+                updated = adam_step([model.params[n] for n in names], grads, state,
+                                    lr=config.learning_rate)
+                for n, arr in zip(names, updated):
+                    model.params[n] = arr
+                batch_losses.append(value)
 
-        metrics = evaluate_model(model, valid, cutoffs=(VALIDATION_CUTOFF,))
-        ndcg = metrics.ndcg_at[VALIDATION_CUTOFF]
-        report.epochs.append(EpochStats(
-            epoch=epoch,
-            train_loss=float(np.mean(batch_losses)),
-            valid_auc=metrics.auc,
-            valid_ndcg=ndcg,
-        ))
-        if ndcg > best_ndcg:
-            best_ndcg = ndcg
-            best_params = {n: a.copy() for n, a in model.params.items()}
-            best_epoch = epoch
+            metrics = evaluate_model(model, valid, cutoffs=(VALIDATION_CUTOFF,))
+            ndcg = metrics.ndcg_at[VALIDATION_CUTOFF]
+            report.epochs.append(EpochStats(
+                epoch=epoch,
+                train_loss=float(np.mean(batch_losses)),
+                valid_auc=metrics.auc,
+                valid_ndcg=ndcg,
+            ))
+            if ndcg > best_ndcg:
+                best_ndcg = ndcg
+                best_params = {n: a.copy() for n, a in model.params.items()}
+                best_epoch = epoch
 
     model.params = best_params
     report.best_epoch = best_epoch

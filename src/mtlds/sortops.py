@@ -7,13 +7,12 @@ else in the package inherits that convention.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .gradcore import Tensor, fn
-from .gradcore.tensor import PROB_EPS, ShapeMismatchError, as_matrix
+from .gradcore.tensor import ShapeMismatchError, as_matrix, length_blocks
 
 
 def argsort_desc(s: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -42,6 +41,12 @@ def perm_matrix(order: Sequence[int] | np.ndarray) -> np.ndarray:
     return m
 
 
+def check_tau(tau: float) -> None:
+    """The SoftSort temperature rule: ``tau`` is finite and positive."""
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+
+
 def soft_sort(s: Tensor, tau: float) -> Tensor:
     """Continuous relaxation of the argsort permutation matrix: an (n, n)
     unimodal row-stochastic tensor on the graph of ``s``.
@@ -53,8 +58,7 @@ def soft_sort(s: Tensor, tau: float) -> Tensor:
     differentiable w.r.t. ``s`` almost everywhere.  Two tape nodes: the fused
     ``softsort_logits`` and ``softmax_rows``.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    check_tau(tau)
     if s.cols != 1:
         raise ShapeMismatchError(f"soft_sort expects an (n, 1) score tensor, got {s.shape}")
     return fn.softmax_rows(fn.softsort_logits(s, argsort_desc(s.value[:, 0]), tau))
@@ -83,10 +87,11 @@ def is_unimodal_row_stochastic(m: Tensor | np.ndarray,
 
 def ndcg_position_weights(n: int) -> np.ndarray:
     """Rank-discount weights w[i] = 1 / log2(i + 2) for 0-based position i,
-    strictly decreasing."""
+    strictly decreasing: the NDCG discount of the sort loss and of
+    ``evaluate_ranking``."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return np.array([1.0 / math.log2(i + 2) for i in range(n)])
+    return 1.0 / np.log2(np.arange(2, n + 2))
 
 
 def sort_loss(p_hats: Sequence[Tensor], perms: Sequence[np.ndarray]) -> Tensor:
@@ -126,20 +131,32 @@ def check_lengths(lengths: Sequence[int] | np.ndarray | None, rows: int,
     return a.astype(np.intp)
 
 
+def column_inputs(col: Tensor, target: Sequence[float] | np.ndarray,
+                  lengths: Sequence[int] | np.ndarray | None,
+                  loss: str) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs of a loss of an ``(n, 1)`` score column: the target as a
+    float vector and the checked impression lengths (``check_lengths``).
+
+    Raises ShapeMismatchError naming ``loss`` unless the column has one
+    entry per target value.
+    """
+    y = np.asarray(target, dtype=np.float64).reshape(-1)
+    if col.cols != 1 or col.rows != y.size:
+        raise ShapeMismatchError(f"{loss}: scores {col.shape} vs {y.size} labels")
+    return y, check_lengths(lengths, col.rows, loss)
+
+
 def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
              lengths: Sequence[int] | np.ndarray | None = None) -> Tensor:
     """Binary cross-entropy of probabilities ``p`` against binary labels: the
     mean within each impression (``lengths`` rows each, in turn), then the
     mean over impressions (the whole list is one impression by default)."""
-    yv = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    if p.cols != 1 or p.rows != yv.shape[0]:
-        raise ShapeMismatchError(f"bce_loss: probabilities {p.shape} vs {yv.shape[0]} labels")
-    lengths = check_lengths(lengths, p.rows, "bce_loss")
+    yv, lengths = column_inputs(p, y, lengths, "bce_loss")
+    yv = yv.reshape(-1, 1)
     weights = np.repeat(1.0 / (lengths * lengths.size), lengths).reshape(-1, 1)
     g = p.graph
-    y_const = g.tensor(yv)
-    pos = fn.mul_elem(y_const, fn.log(fn.clip(p, PROB_EPS, 1.0)))
-    neg_p = fn.clip(fn.sub(g.tensor(np.ones((p.rows, 1))), p), PROB_EPS, 1.0)
+    pos = fn.mul_elem(g.tensor(yv), fn.log(p))
+    neg_p = fn.sub(g.tensor(np.ones((p.rows, 1))), p)
     neg = fn.mul_elem(g.tensor(1.0 - yv), fn.log(neg_p))
     return fn.scale(fn.sum_all(fn.mul_elem(g.tensor(weights), fn.add(pos, neg))), -1.0)
 
@@ -153,29 +170,29 @@ def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
 
     Computed as -log(sigmoid(s_i - s_j)) with one weight per pair, so the term
     costs a fixed number of graph nodes whatever the list sizes.  The pairs
-    are taken impression by impression, which fixes the order of the sum.  An
-    impression without ordered pairs adds 0; a constant 0 is returned when no
-    impression has one.
+    are found per block of equal-length impressions and put back impression
+    by impression, which fixes the order of the sum.  An impression without
+    ordered pairs adds 0; a constant 0 is returned when no impression has one.
     """
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
-    if s.cols != 1 or s.rows != yv.size:
-        raise ShapeMismatchError(f"ranknet_loss: scores {s.shape} vs {yv.size} labels")
-    lengths = check_lengths(lengths, s.rows, "ranknet_loss")
-    hi, lo, weights = [], [], []
-    stops = np.cumsum(lengths)
-    for a, b in zip((stops - lengths).tolist(), stops.tolist()):
-        i, j = np.nonzero(yv[a:b, None] > yv[None, a:b])
-        if i.size:
-            hi.append(i + a)
-            lo.append(j + a)
-            weights.append(np.full(i.size, 1.0 / (i.size * lengths.size)))
+    yv, lengths = column_inputs(s, y, lengths, "ranknet_loss")
+    imp, hi, lo = [], [], []
+    for members, rows in length_blocks(lengths):
+        block = yv[rows]
+        b, i, j = np.nonzero(block[:, :, None] > block[:, None, :])
+        imp.append(members[b])
+        hi.append(rows[b, i])
+        lo.append(rows[b, j])
+    imp = np.concatenate(imp)
     g = s.graph
-    if not hi:
+    if not imp.size:
         return g.tensor(0.0)
-    p = fn.sigmoid(fn.sub(fn.gather_rows(s, np.concatenate(hi)),
-                          fn.gather_rows(s, np.concatenate(lo))))
-    losses = fn.scale(fn.log(fn.clip(p, PROB_EPS, 1.0)), -1.0)
-    return fn.sum_all(fn.mul_elem(g.tensor(np.concatenate(weights).reshape(-1, 1)), losses))
+    order = np.argsort(imp, kind="stable")
+    imp = imp[order]
+    weights = 1.0 / (np.bincount(imp, minlength=lengths.size)[imp] * lengths.size)
+    p = fn.sigmoid(fn.sub(fn.gather_rows(s, np.concatenate(hi)[order]),
+                          fn.gather_rows(s, np.concatenate(lo)[order])))
+    losses = fn.scale(fn.log(p), -1.0)
+    return fn.sum_all(fn.mul_elem(g.tensor(weights.reshape(-1, 1)), losses))
 
 
 def listnet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
@@ -184,9 +201,4 @@ def listnet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
     softmax(s) within each impression (``lengths`` rows each, in turn),
     averaged over impressions (the whole list is one impression by default).
     One ``listnet`` tape node."""
-    if s.cols != 1:
-        raise ShapeMismatchError(f"listnet_loss expects an (n, 1) score tensor, got {s.shape}")
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
-    if yv.size != s.rows:
-        raise ShapeMismatchError(f"listnet_loss: {s.rows} scores vs {yv.size} labels")
-    return fn.listnet(s, yv, check_lengths(lengths, s.rows, "listnet_loss"))
+    return fn.listnet(s, *column_inputs(s, y, lengths, "listnet_loss"))

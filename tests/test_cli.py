@@ -15,6 +15,7 @@ import mtlds
 import mtlds.cli as cli_mod
 from mtlds.cli import experiment_hash, load_experiment_config, main
 from mtlds.data import load_dataset
+from mtlds.gradcore import OPS
 from mtlds.model import CHECKPOINT_MAGIC, MODEL_KINDS, CheckpointError, load_checkpoint
 
 runner = CliRunner()
@@ -140,6 +141,19 @@ class TestTrain:
         assert result.exit_code == 1, result.output
         assert result.output.startswith("error: loss became non-finite at epoch 1, batch ")
         assert result.output.count("\n") == 1
+
+    def test_divergence_prints_only_the_error_line(self, tmp_path):
+        """numpy's overflow warnings from the diverging step stay off stderr."""
+        config = write_config(tmp_path, split=[0.7, 0.15, 0.15],
+                              data={"synth": {"impressions": 300}},
+                              model={"kind": "esmm", "learning_rate": 1.0e200, "epochs": 1,
+                                     "batch_size": 8})
+        env = {**os.environ, "PYTHONPATH": str(Path(mtlds.__file__).resolve().parents[1])}
+        result = subprocess.run([sys.executable, "-m", "mtlds.cli", "train", "--config",
+                                 str(config)], env=env, capture_output=True, text=True,
+                                timeout=600)
+        assert result.returncode == 1
+        assert result.stderr == "error: loss became non-finite at epoch 1, batch 1\n"
 
     def test_seed_flag_overrides_list(self, tmp_path):
         config = write_config(tmp_path, seeds=[1, 2, 3])
@@ -305,6 +319,12 @@ class TestGradcheckCommand:
         for kind in MODEL_KINDS:
             assert f"model:batch_loss:{kind} " in result.output
         assert "FAIL" not in result.output
+        # README's counts of registry ops and of gradcheck lines stay true
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        op_count = re.search(r"\(`gradcore\.OPS`\)\s+has\s+(\d+)\s+ops", readme)[1]
+        line_count = re.search(r"one\s+line\s+per\s+check,\s+(\d+)\s+in\s+all", readme)[1]
+        assert int(op_count) == len(OPS)
+        assert int(line_count) == sum(line.endswith("PASS") for line in result.output.splitlines())
 
     def test_injected_error_fails_nonzero(self):
         result = runner.invoke(main, ["gradcheck", "--trials", "2", "--inject-error"])

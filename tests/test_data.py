@@ -118,6 +118,9 @@ class TestLoadDataset:
     @pytest.mark.parametrize("dense,tasks,message", [
         ("-1", "click", "dense count must be >= 0"),
         ("0", "click,click", "task names must be distinct"),
+        ("0", "click,,buy", "task names must be non-empty"),
+        ("0", "click,buy,", "task names must be non-empty"),
+        ("0", "", "task names must be non-empty"),
     ])
     def test_bad_dense_count_or_tasks_rejected_at_line_one(self, tmp_path, dense, tasks, message):
         path = write_lines(tmp_path, [
@@ -349,6 +352,10 @@ class TestSynthesize:
             SynthConfig(tasks=("click",), biases=(-1.0,))
         with pytest.raises(ValueError, match="list_size"):
             SynthConfig(items=4, list_size=12)
+
+    def test_empty_task_name_rejected(self):
+        with pytest.raises(ValueError, match="task names must be non-empty"):
+            synthesize(SynthConfig(tasks=("click", ""), biases=(-1.0, -2.0)))
 
 
 def test_label_matrix_rows_follow_samples():

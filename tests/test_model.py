@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -471,6 +473,23 @@ class TestScalabilityAcrossTaskCounts:
         assert model.tower_count == t_count
         assert model.params["agg/w"].shape == (t_count, 1)
         assert len(report.epochs) == 1
+
+
+def test_graph_is_freed_without_the_cycle_collector():
+    """No tape entry refers back to its graph, so reference counting alone
+    frees a training step's graph once the caller drops it."""
+    model = SharedBottomModel(tiny_schema(), small_config())
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        graph = Graph()
+        graph.backward(model.batch_loss(graph, [IMP]))
+        ref = weakref.ref(graph)
+        del graph
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestFit:

@@ -130,8 +130,9 @@ class TestSoftSort:
             npt.assert_allclose(a, b, atol=1e-9)
 
     def test_invalid_tau(self):
-        with pytest.raises(ValueError):
-            soft_sort(Graph().tensor([1.0, 2.0]), tau=0.0)
+        for tau in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                soft_sort(Graph().tensor([1.0, 2.0]), tau=tau)
 
     def test_urs_sweep_with_argmax_agreement(self):
         rng = np.random.default_rng(5)
@@ -268,6 +269,15 @@ class TestSpanCheck:
         for loss in (bce_loss, ranknet_loss, listnet_loss, softsort_loss):
             loss(p, [1, 0, 1, 0, 1], [1, 4])
             loss(p, [1, 0, 1, 0, 1], np.array([1, 4], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("loss", [bce_loss, ranknet_loss, listnet_loss, softsort_loss],
+                         ids=lambda f: f.__name__)
+def test_column_and_labels_checked_with_one_message(loss):
+    col = Graph().tensor(np.full((5, 2), 0.5))
+    message = rf"{loss.__name__}: scores \(5, 2\) vs 4 labels"
+    with pytest.raises(ShapeMismatchError, match=message):
+        loss(col, [1, 0, 1, 0])
 
 
 class TestBCELoss:
