@@ -71,6 +71,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
     """One (f, x) pair per registry op; fresh constants per call."""
     k34 = rng.standard_normal((3, 4))
     k42 = rng.standard_normal((4, 2))
+    k43, k41 = rng.standard_normal((4, 3)), rng.standard_normal((4, 1))
     idx = tuple(int(i) for i in rng.integers(0, 3, size=5))  # repeats exercise scatter-add
     order = rng.permutation(5)
     perms = [np.eye(2)[rng.permutation(2)], np.eye(3)[rng.permutation(3)],
@@ -78,6 +79,12 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
     first2, last2 = np.eye(3)[:2], np.eye(3)[1:]
     lengths = [2, 3, 2]  # two blocks, one of two lists
     labels = rng.standard_normal(7)
+
+    def affine(x: Tensor) -> Tensor:
+        # x is every operand: itself, W = k43 @ x and b = k43 @ x @ k41
+        g = x.graph
+        w = fn.matmul(g.tensor(k43), x)
+        return fn.affine(x, w, fn.matmul(w, g.tensor(k41)))
 
     def perm_xent(x: Tensor) -> Tensor:
         # the (2, 2) corners of x by constant selection matmuls, then x itself
@@ -91,6 +98,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
         "sub": (lambda x: fn.sub(x, x.graph.tensor(k34)), rng.standard_normal((3, 4))),
         "mul_elem": (lambda x: fn.mul_elem(x, x.graph.tensor(k34)), rng.standard_normal((3, 4))),
         "matmul": (lambda x: fn.matmul(x, x.graph.tensor(k42)), rng.standard_normal((3, 4))),
+        "affine": (affine, rng.standard_normal((3, 4))),
         "scale": (lambda x: fn.scale(x, -1.7), rng.standard_normal((3, 4))),
         # negative entries and entries above 1 exercise the clip to [PROB_EPS, 1]
         "log": (lambda x: fn.log(x), _away_from(rng, (3, 4), [0.0, 1.0])),
@@ -100,7 +108,6 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
         "sum_all": (lambda x: fn.sum_all(x), rng.standard_normal((3, 4))),
         "max_rows": (lambda x: fn.max_rows(x), _spread(rng.standard_normal, (3, 4))),
         "gather_rows": (lambda x: fn.gather_rows(x, idx), rng.standard_normal((3, 4))),
-        "broadcast_row": (lambda x: fn.broadcast_row(x, 4), rng.standard_normal((3, 1))),
         "concat_cols": (lambda x: fn.concat_cols([x, x.graph.tensor(k34), x]),
                         rng.standard_normal((3, 2))),
         "softsort_logits": (lambda x: fn.softsort_logits(x, order, 0.7),

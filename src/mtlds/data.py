@@ -19,9 +19,10 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from numbers import Real
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,6 +95,16 @@ class Impression:
         return len(self.samples)
 
 
+class Columns(NamedTuple):
+    """A dataset's samples as read-only arrays, one row per sample, one
+    impression after another."""
+
+    ids: np.ndarray  # (N, U + I) int64 raw ids: the user fields, then the item fields
+    dense: np.ndarray  # (N, D) float64
+    labels: np.ndarray  # (N, T) float64, as ``label_matrix``
+    lengths: np.ndarray  # np.intp samples per impression
+
+
 @dataclass(frozen=True)
 class Dataset:
     schema: Schema
@@ -106,6 +117,38 @@ class Dataset:
     def iter_samples(self) -> Iterator[Sample]:
         for imp in self.impressions:
             yield from imp.samples
+
+    @cached_property
+    def columns(self) -> Columns:
+        """The samples as arrays, built on first use and kept with the
+        dataset, which is immutable; ``cached_property`` writes the instance
+        ``__dict__`` directly, so the frozen dataclass allows it."""
+        samples, lengths = flatten(self.impressions)
+        ids, dense = sample_arrays(self.schema, samples)
+        labels = label_matrix(samples).reshape(len(samples), self.schema.task_count)
+        for a in (ids, dense, labels, lengths):
+            a.flags.writeable = False
+        return Columns(ids, dense, labels, lengths)
+
+
+def flatten(impressions: Sequence[Impression]) -> tuple[list[Sample], np.ndarray]:
+    """The samples of ``impressions`` one impression after another, and the
+    ``np.intp`` array of the impressions' lengths: the one layout of a batch."""
+    samples: list[Sample] = []
+    for imp in impressions:
+        samples.extend(imp.samples)
+    return samples, np.array([len(imp) for imp in impressions], dtype=np.intp)
+
+
+def sample_arrays(schema: Schema, samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """The raw int64 id matrix (the user fields, then the item fields) and the
+    float dense matrix of ``samples``, one row per sample."""
+    n = len(samples)
+    by_field = ([[s.user_ids[f] for s in samples] for f in range(len(schema.user_fields))]
+                + [[s.item_ids[f] for s in samples] for f in range(len(schema.item_fields))])
+    ids = np.array(by_field, dtype=np.int64).reshape(len(by_field), n).T
+    dense = np.array([s.dense for s in samples], dtype=np.float64)
+    return ids, dense.reshape(n, schema.dense_count)
 
 
 def label_matrix(samples: Iterable[Sample]) -> np.ndarray:

@@ -25,6 +25,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a.graph.apply("matmul", [a, b])
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The dense layer ``x @ w`` plus the (m, 1) bias column ``b`` on every row."""
+    return x.graph.apply("affine", [x, w, b])
+
+
 def scale(x: Tensor, factor: float) -> Tensor:
     return x.graph.apply("scale", [x], factor=float(factor))
 
@@ -57,10 +62,6 @@ def max_rows(x: Tensor) -> Tensor:
 
 def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     return x.graph.apply("gather_rows", [x], indices=np.array(indices, dtype=np.intp))
-
-
-def broadcast_row(v: Tensor, rows: int) -> Tensor:
-    return v.graph.apply("broadcast_row", [v], rows=int(rows))
 
 
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:

@@ -4,9 +4,9 @@ A :class:`Graph` is an append-only tape: every operation records a node with
 its tag, parent node ids and forward value, so the backward pass is a single
 reverse walk over the tape.  Tensors are immutable handles into one graph.
 
-Vector convention: vectors are (n, 1) column tensors.  ``broadcast_row``
-tiles a column vector into a matrix of identical rows, which is how bias
-terms are added without a transpose primitive.
+Vector convention: vectors are (n, 1) column tensors.  A dense layer is
+one ``affine`` node, ``x @ W + b.T`` with ``b`` an (m, 1) column added to
+every row, so the tape keeps no tiled copy of the bias.
 
 The listwise ops (``softsort_logits``, ``perm_xent``, ``listnet``) are fused:
 each replays, in one node, the elementwise arithmetic of the composition of
@@ -141,6 +141,16 @@ def _fwd_matmul(xs, attrs):
     return a @ b
 
 
+def _fwd_affine(xs, attrs):
+    x, w, b = xs
+    if x.shape[1] != w.shape[0] or b.shape != (w.shape[1], 1):
+        raise ShapeMismatchError(
+            f"affine: {x.shape} @ {w.shape} plus a bias of {b.shape} do not agree")
+    out = x @ w
+    out += b.T
+    return out
+
+
 def _fwd_scale(xs, attrs):
     return xs[0] * attrs["factor"]
 
@@ -187,13 +197,6 @@ def _fwd_gather_rows(xs, attrs):
     return x[idx, :]
 
 
-def _fwd_broadcast_row(xs, attrs):
-    v = xs[0]
-    if v.shape[1] != 1:
-        raise ShapeMismatchError(f"broadcast_row: expected a column vector, got {v.shape}")
-    return np.tile(v.T, (attrs["rows"], 1))
-
-
 def _fwd_concat_cols(xs, attrs):
     if len({x.shape[0] for x in xs}) != 1:
         raise ShapeMismatchError(
@@ -216,6 +219,11 @@ def _vjp_mul_elem(g, xs, out, attrs):
 def _vjp_matmul(g, xs, out, attrs):
     a, b = xs
     return [g @ b.T, a.T @ g]
+
+
+def _vjp_affine(g, xs, out, attrs):
+    x, w, _ = xs
+    return [g @ w.T, x.T @ g, g.sum(axis=0).reshape(-1, 1)]
 
 
 def _vjp_scale(g, xs, out, attrs):
@@ -259,10 +267,6 @@ def _vjp_gather_rows(g, xs, out, attrs):
     return [dx]
 
 
-def _vjp_broadcast_row(g, xs, out, attrs):
-    return [g.sum(axis=0).reshape(-1, 1)]
-
-
 def _vjp_concat_cols(g, xs, out, attrs):
     offsets = np.cumsum([x.shape[1] for x in xs[:-1]])
     return [np.ascontiguousarray(part) for part in np.hsplit(g, offsets)]
@@ -271,15 +275,19 @@ def _vjp_concat_cols(g, xs, out, attrs):
 def length_blocks(lengths: Sequence[int] | np.ndarray):
     """Group lists laid out one after another in a flat array by length.
 
-    ``lengths`` holds each list's length.  For each distinct length, yields
-    the positions of the lists of that length and their ``(k, n)`` row
-    indices into the flat array, both in list order.
+    ``lengths`` holds each list's length.  For each distinct length, in
+    ascending order, yields the positions of the lists of that length and
+    their ``(k, n)`` row indices into the flat array, both in list order: one
+    stable argsort of the lengths, cut where the sorted length changes.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     starts = np.cumsum(lengths) - lengths
-    for n in np.unique(lengths):
-        members = np.flatnonzero(lengths == n)
-        yield members, starts[members, None] + np.arange(n)
+    order = np.argsort(lengths, kind="stable")
+    by_length = lengths[order]
+    firsts = np.flatnonzero(np.diff(by_length, prepend=-1)).tolist()
+    for a, b in zip(firsts, firsts[1:] + [lengths.size]):
+        members = order[a:b]
+        yield members, starts[members, None] + np.arange(by_length[a])
 
 
 def _mean_in_order(per_list: np.ndarray) -> np.ndarray:
@@ -378,6 +386,7 @@ OPS: dict[str, _OpDef] = {
     "sub": _OpDef(2, _fwd_sub, _vjp_sub),
     "mul_elem": _OpDef(2, _fwd_mul_elem, _vjp_mul_elem),
     "matmul": _OpDef(2, _fwd_matmul, _vjp_matmul),
+    "affine": _OpDef(3, _fwd_affine, _vjp_affine),
     "scale": _OpDef(1, _fwd_scale, _vjp_scale),
     "log": _OpDef(1, _fwd_log, _vjp_log),
     "sigmoid": _OpDef(1, _fwd_sigmoid, _vjp_sigmoid),
@@ -386,7 +395,6 @@ OPS: dict[str, _OpDef] = {
     "sum_all": _OpDef(1, _fwd_sum_all, _vjp_sum_all),
     "max_rows": _OpDef(1, _fwd_max_rows, _vjp_max_rows),
     "gather_rows": _OpDef(1, _fwd_gather_rows, _vjp_gather_rows),
-    "broadcast_row": _OpDef(1, _fwd_broadcast_row, _vjp_broadcast_row),
     "concat_cols": _OpDef(None, _fwd_concat_cols, _vjp_concat_cols),
     "softsort_logits": _OpDef(1, _fwd_softsort_logits, _vjp_softsort_logits),
     "perm_xent": _OpDef(None, _fwd_perm_xent, _vjp_perm_xent),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregate import AGGREGATOR_KINDS, aggregate_columns, label_gain, label_permutation
 from .data import (Dataset, FieldSpec, Impression, Sample, Schema, atomic_open,
-                   batch_impressions, label_matrix, require_int)
+                   batch_impressions, flatten, label_matrix, require_int, sample_arrays)
 from .evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
 from .gradcore import AdamState, Graph, Tensor, adam_step, fn
 from .sortops import (
@@ -124,33 +124,19 @@ class FeatureBatch:
     cat_ids: dict[str, np.ndarray]
     dense: np.ndarray  # (n, dense_count)
 
-    @property
-    def size(self) -> int:
-        return self.dense.shape[0]
-
 
 def encode_samples(schema: Schema, samples: Sequence[Sample]) -> FeatureBatch:
-    """Build id arrays per categorical field; unknown ids map to the reserved
-    out-of-vocabulary row (index = cardinality) instead of raising."""
-    n = len(samples)
-    cat_ids: dict[str, np.ndarray] = {}
-    for f_idx, spec in enumerate(schema.user_fields):
-        raw = np.array([s.user_ids[f_idx] for s in samples], dtype=np.int64)
-        cat_ids[spec.name] = np.where((raw >= 0) & (raw < spec.cardinality), raw, spec.cardinality)
-    for f_idx, spec in enumerate(schema.item_fields):
-        raw = np.array([s.item_ids[f_idx] for s in samples], dtype=np.int64)
-        cat_ids[spec.name] = np.where((raw >= 0) & (raw < spec.cardinality), raw, spec.cardinality)
-    dense = np.array([s.dense for s in samples], dtype=np.float64).reshape(n, schema.dense_count)
+    """The ``encode_ids`` features of ``samples``."""
+    return encode_ids(schema, *sample_arrays(schema, samples))
+
+
+def encode_ids(schema: Schema, ids: np.ndarray, dense: np.ndarray) -> FeatureBatch:
+    """Id arrays per categorical field from a raw id matrix (``sample_arrays``
+    order); unknown ids map to the reserved out-of-vocabulary row (index =
+    cardinality) instead of raising."""
+    cat_ids = {spec.name: np.where((raw >= 0) & (raw < spec.cardinality), raw, spec.cardinality)
+               for spec, raw in zip(schema.cat_fields, ids.T)}
     return FeatureBatch(cat_ids=cat_ids, dense=dense)
-
-
-def flatten(impressions: Sequence[Impression]) -> tuple[list[Sample], np.ndarray]:
-    """The samples of ``impressions`` one impression after another, and the
-    ``np.intp`` array of the impressions' lengths: the one layout of a batch."""
-    samples: list[Sample] = []
-    for imp in impressions:
-        samples.extend(imp.samples)
-    return samples, np.array([len(imp) for imp in impressions], dtype=np.intp)
 
 
 def softsort_loss(col: Tensor, target: Sequence[float] | np.ndarray,
@@ -244,14 +230,13 @@ class SharedBottomModel:
     ) -> list[Tensor]:
         """Per-tower probability columns, each (n, 1) and strictly inside (0, 1)."""
         pt = params_t if params_t is not None else self.bind(graph)
-        n = batch.size
         parts = [fn.gather_rows(pt[f"emb/{spec.name}"], batch.cat_ids[spec.name])
                  for spec in self.schema.cat_fields]
         if self.schema.dense_count:
             parts.append(graph.tensor(batch.dense))
 
         def dense(h: Tensor, prefix: str) -> Tensor:
-            return fn.add(fn.matmul(h, pt[f"{prefix}/W"]), fn.broadcast_row(pt[f"{prefix}/b"], n))
+            return fn.affine(h, pt[f"{prefix}/W"], pt[f"{prefix}/b"])
 
         x = fn.concat_cols(parts)
         for i in range(len(self.config.shared_layers)):
@@ -327,15 +312,23 @@ class SharedBottomModel:
         rank_by: str = "aggregate",
     ) -> list[np.ndarray]:
         """Per-impression score vectors used for ranking at evaluation time."""
-        out: list[np.ndarray] = []
-        for start in range(0, len(impressions), SCORE_CHUNK):
-            part = impressions[start:start + SCORE_CHUNK]
-            samples, lengths = flatten(part)
+        samples, lengths = flatten(impressions)
+        scores = self.flat_scores(*sample_arrays(self.schema, samples), lengths, rank_by)
+        return np.split(scores, np.cumsum(lengths)[:-1]) if lengths.size else []
+
+    def flat_scores(self, ids: np.ndarray, dense: np.ndarray, lengths: np.ndarray,
+                    rank_by: str = "aggregate") -> np.ndarray:
+        """The ``rank_by`` score of every row of a ``sample_arrays`` layout of
+        impressions of ``lengths`` rows each, one graph per ``SCORE_CHUNK``
+        impressions (the chunk's row count sets the matmul bits)."""
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        edges = offsets[np.r_[0:lengths.size:SCORE_CHUNK, lengths.size]].tolist()
+        out = np.empty(offsets[-1])
+        for a, b in zip(edges, edges[1:]):
             graph = Graph()
             pt = self.bind(graph)
-            cols = self.task_columns(graph, encode_samples(self.schema, samples), pt)
-            scores = self._score_column(cols, rank_by, pt).value[:, 0].copy()
-            out.extend(np.split(scores, np.cumsum(lengths)[:-1]))
+            cols = self.task_columns(graph, encode_ids(self.schema, ids[a:b], dense[a:b]), pt)
+            out[a:b] = self._score_column(cols, rank_by, pt).value[:, 0]
         return out
 
 
@@ -369,9 +362,8 @@ def evaluate_model(
     """
     if not ds.impressions:
         raise ValueError("no impressions to evaluate")
-    samples, lengths = flatten(ds.impressions)
-    labels = label_matrix(samples)
-    scores = np.concatenate(model.ranking_scores(ds.impressions, rank_by=rank_by))
+    ids, dense, labels, lengths = ds.columns
+    scores = model.flat_scores(ids, dense, lengths, rank_by)
     return evaluate_ranking(scores, label_gain(labels, gain), labels[:, -1], lengths, cutoffs)
 
 
@@ -414,10 +406,11 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
     """
     if not train.impressions or not valid.impressions:
         raise ValueError("train and valid datasets must be non-empty")
-    positives = int(label_matrix(valid.iter_samples())[:, -1].sum())
-    if positives in (0, valid.sample_count):
+    final = valid.columns.labels[:, -1]
+    positives = int(final.sum())
+    if positives in (0, final.size):
         raise UndefinedMetricError(
-            f"validation AUC undefined: {positives} of {valid.sample_count} final labels positive")
+            f"validation AUC undefined: {positives} of {final.size} final labels positive")
     model = SharedBottomModel(train.schema, config)
     names = list(model.params)
     state = AdamState.for_params([model.params[n] for n in names])

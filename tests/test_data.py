@@ -19,6 +19,7 @@ from mtlds.data import (
     SynthConfig,
     atomic_open,
     batch_impressions,
+    flatten,
     label_matrix,
     load_dataset,
     project_tasks,
@@ -365,6 +366,53 @@ def test_label_matrix_rows_follow_samples():
     assert labels.shape == (15, 2) and labels.dtype == np.float64
     assert [tuple(row) for row in labels] == [s.labels.labels for s in samples]
     np.testing.assert_array_equal(label_matrix(samples[2:4]), labels[2:4])
+
+
+class TestColumns:
+    """``Dataset.columns``: the cached array form of a dataset's samples."""
+
+    def test_columns_follow_the_samples(self):
+        ds = load_dataset(FIXTURES / "golden.tsv")
+        ids, dense, labels, lengths = ds.columns
+        samples = list(ds.iter_samples())
+        assert ids.dtype == np.int64 and lengths.dtype == np.intp
+        assert ids.tolist() == [list(s.user_ids + s.item_ids) for s in samples]
+        assert dense.tolist() == [list(s.dense) for s in samples]
+        np.testing.assert_array_equal(labels, label_matrix(samples))
+        assert lengths.tolist() == [len(imp) for imp in ds.impressions]
+
+    def test_built_on_first_use_and_kept(self, tmp_path):
+        ds = synthesize(SynthConfig(impressions=20, users=4, items=12, list_size=3))
+        write_dataset(ds, tmp_path / "ds.tsv")
+        made = [ds, load_dataset(tmp_path / "ds.tsv"), *split(ds, (0.5, 0.25, 0.25), seed=1)]
+        assert all("columns" not in d.__dict__ for d in made)
+        assert ds.columns is ds.columns
+        assert "columns" in ds.__dict__
+
+    def test_arrays_are_read_only(self):
+        ds = synthesize(SynthConfig(impressions=4, users=4, items=12, list_size=3))
+        for a in ds.columns:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_empty_dataset_keeps_the_widths(self):
+        schema = Schema((FieldSpec("u", 3),), (FieldSpec("i", 4), FieldSpec("c", 2)), 3,
+                        ("click", "buy"))
+        ids, dense, labels, lengths = Dataset(schema, ()).columns
+        assert (ids.shape, dense.shape, labels.shape, lengths.shape) == (
+            (0, 3), (0, 3), (0, 2), (0,))
+
+    def test_split_and_project_tasks_build_their_own(self):
+        ds = load_dataset(FIXTURES / "golden.tsv")
+        whole = ds.columns
+        for part in split(ds, (0.5, 0.5, 0.0), seed=2)[:2]:
+            samples, lengths = flatten(part.impressions)
+            np.testing.assert_array_equal(part.columns.labels, label_matrix(samples))
+            np.testing.assert_array_equal(part.columns.lengths, lengths)
+        projected = project_tasks(ds, ("click", "purchase"))
+        assert "columns" not in projected.__dict__
+        np.testing.assert_array_equal(projected.columns.labels, whole.labels[:, [0, 2]])
+        np.testing.assert_array_equal(projected.columns.ids, whole.ids)
 
 
 class TestBatching:

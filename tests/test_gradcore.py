@@ -15,6 +15,7 @@ from mtlds.gradcore import (
     grad_check,
 )
 from mtlds.gradcore.functional import concat_cols
+from mtlds.gradcore.tensor import length_blocks
 
 
 class TestForward:
@@ -70,10 +71,11 @@ class TestForward:
         with pytest.raises(ShapeMismatchError, match="index -1 out of range for 2 rows"):
             fn.gather_rows(g.tensor(np.zeros((2, 2))), [0, -1, 5])
 
-    def test_broadcast_needs_column(self):
+    def test_affine_needs_a_bias_column(self):
         g = Graph()
-        with pytest.raises(ShapeMismatchError):
-            fn.broadcast_row(g.tensor(np.zeros((2, 2))), 3)
+        x, w = g.tensor(np.zeros((2, 3))), g.tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeMismatchError, match="affine"):
+            fn.affine(x, w, g.tensor(np.zeros((4, 2))))
 
     def test_values_are_immutable(self):
         g = Graph()
@@ -212,6 +214,33 @@ def test_op_cases_cover_every_registry_op():
     from mtlds.checks import _op_cases
 
     assert set(_op_cases(np.random.default_rng(0))) == set(OPS)
+
+
+def per_length_blocks(lengths):
+    """``length_blocks`` written as one pass over the lengths per distinct length."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    for n in np.unique(lengths):
+        members = np.flatnonzero(lengths == n)
+        yield members, starts[members, None] + np.arange(n)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_length_blocks_match_the_per_length_version(seed):
+    rng = np.random.default_rng(seed)
+    distinct = 1 if seed < 4 else int(rng.integers(2, 41))  # one length, or 2 to 40
+    values = rng.choice(np.arange(1, 41), size=distinct, replace=False)
+    lengths = rng.choice(values, size=int(rng.integers(1, 300)))
+    got = list(length_blocks(lengths))
+    want = list(per_length_blocks(lengths))
+    assert len(got) == len(want) == len(np.unique(lengths))
+    for (members, rows), (ref_members, ref_rows) in zip(got, want):
+        npt.assert_array_equal(members, ref_members)
+        npt.assert_array_equal(rows, ref_rows)
+
+
+def test_length_blocks_of_no_lists_is_empty():
+    assert list(length_blocks([])) == []
 
 
 class TestAdam:

@@ -10,9 +10,10 @@ import numpy.testing as npt
 import pytest
 
 import mtlds.model as model_mod
-from mtlds.aggregate import LabelSequence
-from mtlds.data import FieldSpec, Impression, Sample, Schema, SynthConfig, split, synthesize
-from mtlds.evaluation import UndefinedMetricError
+from mtlds.aggregate import LabelSequence, label_gain
+from mtlds.data import (Dataset, FieldSpec, Impression, Sample, Schema, SynthConfig, label_matrix,
+                        split, synthesize)
+from mtlds.evaluation import UndefinedMetricError, evaluate_ranking
 from mtlds.gradcore import Graph, corrupted_vjp
 from mtlds.model import (
     KIND_RULES,
@@ -347,6 +348,15 @@ class TestTapeSize:
     def test_listnet_node_count_is_fixed(self):
         assert self.nodes("mtl_listnet", 64) == self.nodes("mtl_listnet", 1)
 
+    def test_each_dense_layer_is_one_affine_node(self):
+        model = SharedBottomModel(tiny_schema(), small_config(kind="esmm"))
+        g = Graph()
+        model.task_columns(g, encode_samples(model.schema, IMP.samples))
+        ops = [g.node_op(i) for i in range(len(g))]
+        layers = sum(name.endswith("/W") for name in model.params)
+        assert ops.count("affine") == layers == 5
+        assert "matmul" not in ops and "add" not in ops
+
 
 class TestHardParameterSharing:
     def _outputs(self, model):
@@ -600,6 +610,52 @@ class TestRankingAndEvaluation:
         assert set(depth.ndcg_at) == {2, 4}
         assert 0.0 <= depth.auc <= 1.0
         assert depth.auc == pytest.approx(final.auc)  # same scores, same final labels
+
+
+def ragged_dataset(impressions=600, seed=0):
+    """Impressions of 1 to 6 items, some ids outside the vocabulary, more
+    impressions than one scoring chunk."""
+    rng = np.random.default_rng(seed)
+    imps = []
+    for k in range(impressions):
+        n = int(rng.integers(1, 7))
+        depth = rng.integers(0, 3, size=n)
+        samples = tuple(Sample((int(rng.integers(-1, 8)),), (int(rng.integers(-1, 12)),),
+                               (float(rng.standard_normal()),),
+                               LabelSequence((int(d >= 1), int(d >= 2)))) for d in depth)
+        imps.append(Impression(f"imp{k}", samples))
+    return Dataset(tiny_schema(dense=1), tuple(imps))
+
+
+class TestFullSetScoring:
+    """``evaluate_model`` scores ``Dataset.columns``; ``ranking_scores``
+    scores impressions; both share one chunk loop."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return ragged_dataset()
+
+    def test_two_passes_give_identical_reports(self, ds):
+        model = SharedBottomModel(ds.schema, small_config())
+        first = evaluate_model(model, ds).as_dict()
+        assert evaluate_model(model, ds).as_dict() == first
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_reports_equal_ranking_scores_metrics(self, ds, kind):
+        model = SharedBottomModel(ds.schema, small_config(kind=kind))
+        labels = label_matrix(ds.iter_samples())
+        lengths = [len(imp) for imp in ds.impressions]
+        for rank_by in ("aggregate", "task:purchase"):
+            scores = np.concatenate(model.ranking_scores(ds.impressions, rank_by=rank_by))
+            for gain in ("depth", "final"):
+                want = evaluate_ranking(scores, label_gain(labels, gain), labels[:, -1], lengths,
+                                        (2, 6))
+                got = evaluate_model(model, ds, cutoffs=(2, 6), rank_by=rank_by, gain=gain)
+                assert got.as_dict() == want.as_dict(), (rank_by, gain)
+
+    def test_ranking_scores_of_no_impressions(self):
+        model = SharedBottomModel(tiny_schema(), small_config())
+        assert model.ranking_scores([]) == []
 
 
 class TestCheckpoint:
