@@ -5,7 +5,7 @@ Library layout:
 * ``gradcore``    reverse-mode autodiff over dense 2-D tensors
 * ``sortops``     permutations, the SoftSort relaxation, ranking losses
 * ``aggregate``   prediction/label aggregation operators
-* ``data``        dataset format, validation, label matrix, batching, synthetic generator
+* ``data``        dataset format, validation, ``Dataset.columns`` arrays, batching, synthesis
 * ``model``       shared-bottom multi-task network, baselines, training
 * ``evaluation``  AUC and NDCG@k metrics
 * ``checks``      gradient-check and property suite
@@ -23,8 +23,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 from .aggregate import LabelSequence, aggregate_columns
-from .data import (Dataset, Impression, Sample, Schema, SynthConfig, label_matrix, load_dataset,
-                   synthesize)
+from .data import Dataset, Impression, Sample, Schema, SynthConfig, load_dataset, synthesize
 from .evaluation import MetricReport, auc, ndcg_at_k
 from .gradcore import Graph, Tensor, grad_check
 from .model import ModelConfig, SharedBottomModel, TrainReport, evaluate_model, fit
@@ -58,7 +57,6 @@ __all__ = [
     "fit",
     "grad_check",
     "is_unimodal_row_stochastic",
-    "label_matrix",
     "load_dataset",
     "ndcg_at_k",
     "perm_matrix",

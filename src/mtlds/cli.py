@@ -27,7 +27,6 @@ from .data import (
     Schema,
     SynthConfig,
     atomic_open,
-    label_matrix,
     load_dataset,
     require_int,
     split,
@@ -195,7 +194,7 @@ def cmd_synth(config_path: str, out_path: str) -> None:
         _fail(f"cannot write {out_path}: {exc}", 2)
     click.echo(f"wrote {out_path}")
     click.echo(f"impressions={len(ds.impressions)} samples={ds.sample_count}")
-    positives = label_matrix(ds.iter_samples()).sum(axis=0)
+    positives = ds.columns.labels.sum(axis=0)
     for task, count in zip(ds.schema.tasks, positives):
         click.echo(f"positives[{task}]={int(count)}")
 
@@ -330,7 +329,7 @@ def cmd_eval(checkpoint_path: str, data_path: str, cutoffs: str, rank_by: str,
 
 
 @main.command("gradcheck")
-@click.option("--trials", default=20, show_default=True, type=int)
+@click.option("--trials", default=20, show_default=True, type=click.IntRange(min=1))
 @click.option("--inject-error", is_flag=True, hidden=True,
               help="Test hook: corrupt one backward rule so the suite must fail.")
 def cmd_gradcheck(trials: int, inject_error: bool) -> None:

@@ -9,7 +9,8 @@ File format (tab-separated, one sample per line, header first):
 The file is UTF-8, and the header gives each of its four keys once.  The
 dense column is empty when the schema declares dense=0.  Ids are integers
 within int64.  Labels are 0 or 1 and monotone non-increasing (a post-click
-action requires the click).  Every violation raises, naming the line.
+action requires the click).  Every violation raises, naming the line.  A
+blank line is skipped; a line holding a tab is a data line.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from numbers import Real
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,7 +103,7 @@ class Columns(NamedTuple):
 
     ids: np.ndarray  # (N, U + I) int64 raw ids: the user fields, then the item fields
     dense: np.ndarray  # (N, D) float64
-    labels: np.ndarray  # (N, T) float64, as ``label_matrix``
+    labels: np.ndarray  # (N, T) float64: 0 or 1, one column per task
     lengths: np.ndarray  # np.intp samples per impression
 
 
@@ -115,45 +117,33 @@ class Dataset:
         return sum(len(imp) for imp in self.impressions)
 
     def iter_samples(self) -> Iterator[Sample]:
-        for imp in self.impressions:
-            yield from imp.samples
+        return chain.from_iterable(imp.samples for imp in self.impressions)
 
     @cached_property
     def columns(self) -> Columns:
         """The samples as arrays, built on first use and kept with the
         dataset, which is immutable; ``cached_property`` writes the instance
-        ``__dict__`` directly, so the frozen dataclass allows it."""
-        samples, lengths = flatten(self.impressions)
-        ids, dense = sample_arrays(self.schema, samples)
-        labels = label_matrix(samples).reshape(len(samples), self.schema.task_count)
+        ``__dict__`` directly, so the frozen dataclass allows it.  This is the
+        one walk from sample objects to arrays.  Raises ValueError naming the
+        first sample whose dense values do not number ``dense_count``."""
+        schema = self.schema
+        samples = list(self.iter_samples())
+        n, d = len(samples), schema.dense_count
+        bad = next((row for row, s in enumerate(samples) if len(s.dense) != d), None)
+        if bad is not None:
+            raise ValueError(f"sample {bad} has {len(samples[bad].dense)} dense values, "
+                             f"the schema declares {d}")
+        by_field = ([[s.user_ids[f] for s in samples] for f in range(len(schema.user_fields))]
+                    + [[s.item_ids[f] for s in samples] for f in range(len(schema.item_fields))])
+        ids = np.array(by_field, dtype=np.int64).reshape(len(by_field), n).T
+        dense = np.fromiter(chain.from_iterable(s.dense for s in samples), np.float64,
+                            count=n * d).reshape(n, d)
+        labels = np.array([s.labels.labels for s in samples],
+                          dtype=np.float64).reshape(n, schema.task_count)
+        lengths = np.array([len(imp) for imp in self.impressions], dtype=np.intp)
         for a in (ids, dense, labels, lengths):
             a.flags.writeable = False
         return Columns(ids, dense, labels, lengths)
-
-
-def flatten(impressions: Sequence[Impression]) -> tuple[list[Sample], np.ndarray]:
-    """The samples of ``impressions`` one impression after another, and the
-    ``np.intp`` array of the impressions' lengths: the one layout of a batch."""
-    samples: list[Sample] = []
-    for imp in impressions:
-        samples.extend(imp.samples)
-    return samples, np.array([len(imp) for imp in impressions], dtype=np.intp)
-
-
-def sample_arrays(schema: Schema, samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """The raw int64 id matrix (the user fields, then the item fields) and the
-    float dense matrix of ``samples``, one row per sample."""
-    n = len(samples)
-    by_field = ([[s.user_ids[f] for s in samples] for f in range(len(schema.user_fields))]
-                + [[s.item_ids[f] for s in samples] for f in range(len(schema.item_fields))])
-    ids = np.array(by_field, dtype=np.int64).reshape(len(by_field), n).T
-    dense = np.array([s.dense for s in samples], dtype=np.float64)
-    return ids, dense.reshape(n, schema.dense_count)
-
-
-def label_matrix(samples: Iterable[Sample]) -> np.ndarray:
-    """The (n, T) float label matrix of a non-empty sample sequence, one row per sample."""
-    return np.array([s.labels.labels for s in samples], dtype=np.float64)
 
 
 def _parse_fields(text: str, what: str, line_no: int) -> tuple[FieldSpec, ...]:
@@ -271,7 +261,7 @@ def load_dataset(path) -> Dataset:
             raise DatasetFormatError("empty file: missing schema header")
         schema = _parse_header(header[1], 1)
         for line_no, line in lines:
-            if not line.strip():
+            if not line.strip() and "\t" not in line:
                 continue
             imp_id, sample = _parse_line(line, schema, line_no)
             if imp_id != current and imp_id in groups:

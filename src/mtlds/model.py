@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .aggregate import AGGREGATOR_KINDS, aggregate_columns, label_gain, label_permutation
-from .data import (Dataset, FieldSpec, Impression, Sample, Schema, atomic_open,
-                   batch_impressions, flatten, label_matrix, require_int, sample_arrays)
+from .data import (Columns, Dataset, FieldSpec, Impression, Schema, atomic_open,
+                   batch_impressions, require_int)
 from .evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
 from .gradcore import AdamState, Graph, Tensor, adam_step, fn
 from .sortops import (
@@ -119,24 +119,12 @@ def config_from_dict(d: dict) -> ModelConfig:
     return ModelConfig(**kwargs)
 
 
-@dataclass
-class FeatureBatch:
-    cat_ids: dict[str, np.ndarray]
-    dense: np.ndarray  # (n, dense_count)
-
-
-def encode_samples(schema: Schema, samples: Sequence[Sample]) -> FeatureBatch:
-    """The ``encode_ids`` features of ``samples``."""
-    return encode_ids(schema, *sample_arrays(schema, samples))
-
-
-def encode_ids(schema: Schema, ids: np.ndarray, dense: np.ndarray) -> FeatureBatch:
-    """Id arrays per categorical field from a raw id matrix (``sample_arrays``
-    order); unknown ids map to the reserved out-of-vocabulary row (index =
-    cardinality) instead of raising."""
-    cat_ids = {spec.name: np.where((raw >= 0) & (raw < spec.cardinality), raw, spec.cardinality)
-               for spec, raw in zip(schema.cat_fields, ids.T)}
-    return FeatureBatch(cat_ids=cat_ids, dense=dense)
+def encode_samples(schema: Schema, impressions: Sequence[Impression]) -> Columns:
+    """``Dataset.columns`` of a batch of impressions.  It is a module-level
+    name, called through this module's globals, because the benchmark's
+    tracer (``perfbench/tracing.py``) wraps it to time the per-batch
+    conversion (row ``model.encode_samples_s``)."""
+    return Dataset(schema, tuple(impressions)).columns
 
 
 def softsort_loss(col: Tensor, target: Sequence[float] | np.ndarray,
@@ -225,28 +213,33 @@ class SharedBottomModel:
     def task_columns(
         self,
         graph: Graph,
-        batch: FeatureBatch,
+        ids: np.ndarray,
+        dense: np.ndarray,
         params_t: dict[str, Tensor] | None = None,
     ) -> list[Tensor]:
-        """Per-tower probability columns, each (n, 1) and strictly inside (0, 1)."""
+        """Per-tower probability columns, each (n, 1) and strictly inside (0, 1),
+        of a raw id matrix and a dense matrix laid out as ``Dataset.columns``.
+        An id outside its field's range takes the field's reserved
+        out-of-vocabulary row (index = cardinality) instead of raising."""
         pt = params_t if params_t is not None else self.bind(graph)
-        parts = [fn.gather_rows(pt[f"emb/{spec.name}"], batch.cat_ids[spec.name])
-                 for spec in self.schema.cat_fields]
+        parts = [fn.gather_rows(pt[f"emb/{f.name}"],
+                                np.where((raw >= 0) & (raw < f.cardinality), raw, f.cardinality))
+                 for f, raw in zip(self.schema.cat_fields, ids.T)]
         if self.schema.dense_count:
-            parts.append(graph.tensor(batch.dense))
+            parts.append(graph.tensor(dense))
 
-        def dense(h: Tensor, prefix: str) -> Tensor:
+        def layer(h: Tensor, prefix: str) -> Tensor:
             return fn.affine(h, pt[f"{prefix}/W"], pt[f"{prefix}/b"])
 
         x = fn.concat_cols(parts)
         for i in range(len(self.config.shared_layers)):
-            x = fn.relu(dense(x, f"shared/{i}"))
+            x = fn.relu(layer(x, f"shared/{i}"))
         cols = []
         for t in range(self.tower_count):
             h = x
             for i in range(len(self.config.tower_layers)):
-                h = fn.relu(dense(h, f"tower/{t}/{i}"))
-            cols.append(fn.sigmoid(dense(h, f"tower/{t}/{len(self.config.tower_layers)}")))
+                h = fn.relu(layer(h, f"tower/{t}/{i}"))
+            cols.append(fn.sigmoid(layer(h, f"tower/{t}/{len(self.config.tower_layers)}")))
         return cols
 
     # ------------------------------------------------------------------ losses
@@ -263,10 +256,9 @@ class SharedBottomModel:
     ) -> tuple[list[Tensor], Tensor]:
         """The task terms and the score term of this model's kind (see
         ``KIND_RULES``), each averaged over the impressions."""
-        samples, lengths = flatten(impressions)
-        batch = encode_samples(self.schema, samples)
+        ids, dense, labels, lengths = encode_samples(self.schema, impressions)
         pt = params_t if params_t is not None else self.bind(graph)
-        cols, labels = self.task_columns(graph, batch, pt), label_matrix(samples)
+        cols = self.task_columns(graph, ids, dense, pt)
         task_terms = [self._loss(name)(cols[t], labels[:, t], lengths)
                       for t, name in enumerate(self.task_losses)]
         target = label_gain(labels, self.rule.target)
@@ -312,13 +304,13 @@ class SharedBottomModel:
         rank_by: str = "aggregate",
     ) -> list[np.ndarray]:
         """Per-impression score vectors used for ranking at evaluation time."""
-        samples, lengths = flatten(impressions)
-        scores = self.flat_scores(*sample_arrays(self.schema, samples), lengths, rank_by)
+        ids, dense, _, lengths = encode_samples(self.schema, impressions)
+        scores = self.flat_scores(ids, dense, lengths, rank_by)
         return np.split(scores, np.cumsum(lengths)[:-1]) if lengths.size else []
 
     def flat_scores(self, ids: np.ndarray, dense: np.ndarray, lengths: np.ndarray,
                     rank_by: str = "aggregate") -> np.ndarray:
-        """The ``rank_by`` score of every row of a ``sample_arrays`` layout of
+        """The ``rank_by`` score of every row of a ``Dataset.columns`` layout of
         impressions of ``lengths`` rows each, one graph per ``SCORE_CHUNK``
         impressions (the chunk's row count sets the matmul bits)."""
         offsets = np.concatenate(([0], np.cumsum(lengths)))
@@ -327,7 +319,7 @@ class SharedBottomModel:
         for a, b in zip(edges, edges[1:]):
             graph = Graph()
             pt = self.bind(graph)
-            cols = self.task_columns(graph, encode_ids(self.schema, ids[a:b], dense[a:b]), pt)
+            cols = self.task_columns(graph, ids[a:b], dense[a:b], pt)
             out[a:b] = self._score_column(cols, rank_by, pt).value[:, 0]
         return out
 

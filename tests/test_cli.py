@@ -326,6 +326,12 @@ class TestGradcheckCommand:
         assert int(op_count) == len(OPS)
         assert int(line_count) == sum(line.endswith("PASS") for line in result.output.splitlines())
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_exit_2(self, trials):
+        result = runner.invoke(main, ["gradcheck", "--trials", trials])
+        assert result.exit_code == 2, result.output
+        assert "checks passed" not in result.output
+
     def test_injected_error_fails_nonzero(self):
         result = runner.invoke(main, ["gradcheck", "--trials", "2", "--inject-error"])
         assert result.exit_code == 1

@@ -19,8 +19,6 @@ from mtlds.data import (
     SynthConfig,
     atomic_open,
     batch_impressions,
-    flatten,
-    label_matrix,
     load_dataset,
     project_tasks,
     split,
@@ -180,6 +178,14 @@ class TestLoadDataset:
             "impA\t1\t4\t\t0,0",
         ])
         with pytest.raises(DatasetFormatError, match="line 4: impression 'impA' reappears"):
+            load_dataset(path)
+
+    def test_blank_lines_skipped_but_a_tab_makes_a_data_line(self, tmp_path):
+        first, second = "imp1\t1\t2\t\t1,0", "imp1\t1\t4\t\t0,0"
+        ds = load_dataset(write_lines(tmp_path, [HEADER, first, "", "  ", second]))
+        assert [len(imp) for imp in ds.impressions] == [2]
+        path = write_lines(tmp_path, [HEADER, first, "\t\t\t\t", second])
+        with pytest.raises(DatasetFormatError, match="line 3: empty impression id"):
             load_dataset(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -362,10 +368,11 @@ class TestSynthesize:
 def test_label_matrix_rows_follow_samples():
     ds = synthesize(SynthConfig(impressions=5, users=4, items=12, list_size=3))
     samples = list(ds.iter_samples())
-    labels = label_matrix(ds.iter_samples())
+    labels = ds.columns.labels
     assert labels.shape == (15, 2) and labels.dtype == np.float64
     assert [tuple(row) for row in labels] == [s.labels.labels for s in samples]
-    np.testing.assert_array_equal(label_matrix(samples[2:4]), labels[2:4])
+    part = Dataset(ds.schema, ds.impressions[1:3]).columns.labels
+    assert [tuple(row) for row in part] == [s.labels.labels for s in samples[3:9]]
 
 
 class TestColumns:
@@ -378,7 +385,7 @@ class TestColumns:
         assert ids.dtype == np.int64 and lengths.dtype == np.intp
         assert ids.tolist() == [list(s.user_ids + s.item_ids) for s in samples]
         assert dense.tolist() == [list(s.dense) for s in samples]
-        np.testing.assert_array_equal(labels, label_matrix(samples))
+        assert labels.tolist() == [list(s.labels.labels) for s in samples]
         assert lengths.tolist() == [len(imp) for imp in ds.impressions]
 
     def test_built_on_first_use_and_kept(self, tmp_path):
@@ -402,13 +409,20 @@ class TestColumns:
         assert (ids.shape, dense.shape, labels.shape, lengths.shape) == (
             (0, 3), (0, 3), (0, 2), (0,))
 
+    @pytest.mark.parametrize("counts, row", [((3, 1), 0), ((2, 1), 1)])
+    def test_dense_count_mismatch_names_the_sample(self, counts, row):
+        schema = Schema((FieldSpec("u", 3),), (), 2, ("click",))
+        samples = tuple(Sample((0,), (), (0.5,) * k, LabelSequence((1,))) for k in counts)
+        with pytest.raises(ValueError, match=f"sample {row} has {counts[row]} dense values"):
+            Dataset(schema, (Impression("imp0", samples),)).columns
+
     def test_split_and_project_tasks_build_their_own(self):
         ds = load_dataset(FIXTURES / "golden.tsv")
         whole = ds.columns
         for part in split(ds, (0.5, 0.5, 0.0), seed=2)[:2]:
-            samples, lengths = flatten(part.impressions)
-            np.testing.assert_array_equal(part.columns.labels, label_matrix(samples))
-            np.testing.assert_array_equal(part.columns.lengths, lengths)
+            samples = list(part.iter_samples())
+            assert part.columns.labels.tolist() == [list(s.labels.labels) for s in samples]
+            assert part.columns.lengths.tolist() == [len(imp) for imp in part.impressions]
         projected = project_tasks(ds, ("click", "purchase"))
         assert "columns" not in projected.__dict__
         np.testing.assert_array_equal(projected.columns.labels, whole.labels[:, [0, 2]])

@@ -11,8 +11,8 @@ import pytest
 
 import mtlds.model as model_mod
 from mtlds.aggregate import LabelSequence, label_gain
-from mtlds.data import (Dataset, FieldSpec, Impression, Sample, Schema, SynthConfig, label_matrix,
-                        split, synthesize)
+from mtlds.data import (Dataset, FieldSpec, Impression, Sample, Schema, SynthConfig, split,
+                        synthesize)
 from mtlds.evaluation import UndefinedMetricError, evaluate_ranking
 from mtlds.gradcore import Graph, corrupted_vjp
 from mtlds.model import (
@@ -57,9 +57,15 @@ def make_impression(imp_id, rows, tasks=2, dense=0, seed=0):
 IMP = make_impression("imp0", [(1, 1), (1, 0), (0, 0), (1, 0), (0, 0)], seed=1)
 
 
+def features(model, samples):
+    """The id and dense matrices of ``samples``, encoded as one impression."""
+    ids, dense, _, _ = encode_samples(model.schema, [Impression("batch", tuple(samples))])
+    return ids, dense
+
+
 def task_probs(model, samples):
     """(n, towers) matrix of the per-task probabilities of ``samples``."""
-    cols = model.task_columns(Graph(), encode_samples(model.schema, samples))
+    cols = model.task_columns(Graph(), *features(model, samples))
     return np.hstack([c.value for c in cols])
 
 
@@ -117,7 +123,7 @@ class TestTotalLoss:
         pt = model.bind(g)
         total = model.batch_loss(g, [IMP], pt).item()
 
-        cols = model.task_columns(Graph(), encode_samples(model.schema, IMP.samples))
+        cols = model.task_columns(Graph(), *features(model, IMP.samples))
         expected = 0.0
         for t in range(2):
             g2 = Graph()
@@ -148,7 +154,7 @@ class TestTotalLoss:
     def test_zero_weight_esmm_is_click_bce_alone(self):
         model = SharedBottomModel(tiny_schema(), small_config(kind="esmm", sort_loss_weight=0.0))
         total = model.batch_loss(Graph(), [IMP]).item()
-        cols = model.task_columns(Graph(), encode_samples(model.schema, IMP.samples))
+        cols = model.task_columns(Graph(), *features(model, IMP.samples))
         y_click = [s.labels.labels[0] for s in IMP.samples]
         assert total == bce_loss(Graph().tensor(cols[0].value), y_click).item()
 
@@ -351,7 +357,7 @@ class TestTapeSize:
     def test_each_dense_layer_is_one_affine_node(self):
         model = SharedBottomModel(tiny_schema(), small_config(kind="esmm"))
         g = Graph()
-        model.task_columns(g, encode_samples(model.schema, IMP.samples))
+        model.task_columns(g, *features(model, IMP.samples))
         ops = [g.node_op(i) for i in range(len(g))]
         layers = sum(name.endswith("/W") for name in model.params)
         assert ops.count("affine") == layers == 5
@@ -401,7 +407,7 @@ class TestESMM:
         pt = model.bind(g)
         loss = model.batch_loss(g, [IMP], pt).item()
 
-        cols = model.task_columns(Graph(), encode_samples(model.schema, IMP.samples))
+        cols = model.task_columns(Graph(), *features(model, IMP.samples))
         p_click = cols[0].value[:, 0]
         p_conv = cols[1].value[:, 0]
         y_click = np.array([s.labels.labels[0] for s in IMP.samples], dtype=float)
@@ -612,19 +618,36 @@ class TestRankingAndEvaluation:
         assert depth.auc == pytest.approx(final.auc)  # same scores, same final labels
 
 
-def ragged_dataset(impressions=600, seed=0):
-    """Impressions of 1 to 6 items, some ids outside the vocabulary, more
-    impressions than one scoring chunk."""
+def ragged_dataset(impressions=600, seed=0, sizes=(1, 6), dense=1):
+    """Impressions of ``sizes`` items (by default 1 to 6), some ids outside
+    the vocabulary, ``dense`` dense values, by default more impressions than
+    one scoring chunk."""
     rng = np.random.default_rng(seed)
     imps = []
     for k in range(impressions):
-        n = int(rng.integers(1, 7))
+        n = int(rng.integers(sizes[0], sizes[1] + 1))
         depth = rng.integers(0, 3, size=n)
         samples = tuple(Sample((int(rng.integers(-1, 8)),), (int(rng.integers(-1, 12)),),
-                               (float(rng.standard_normal()),),
+                               tuple(rng.standard_normal(dense).tolist()),
                                LabelSequence((int(d >= 1), int(d >= 2)))) for d in depth)
         imps.append(Impression(f"imp{k}", samples))
-    return Dataset(tiny_schema(dense=1), tuple(imps))
+    return Dataset(tiny_schema(dense=dense), tuple(imps))
+
+
+def test_batch_arrays_are_the_datasets_rows():
+    """A batch's ``encode_samples`` arrays equal the matching rows of the
+    whole dataset's ``columns``."""
+    ds = ragged_dataset(impressions=60, seed=4, sizes=(2, 40), dense=2)
+    whole = ds.columns
+    assert (whole.ids < 0).any() and (whole.ids >= [6, 10]).any()  # out-of-vocabulary ids
+    starts = np.concatenate(([0], np.cumsum(whole.lengths)))
+    picked = np.random.default_rng(1).permutation(len(ds.impressions))[:16]
+    rows = np.concatenate([np.arange(starts[k], starts[k + 1]) for k in picked])
+    got = encode_samples(ds.schema, [ds.impressions[k] for k in picked])
+    want = (whole.ids[rows], whole.dense[rows], whole.labels[rows], whole.lengths[picked])
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        npt.assert_array_equal(a, b)
 
 
 class TestFullSetScoring:
@@ -643,7 +666,7 @@ class TestFullSetScoring:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_reports_equal_ranking_scores_metrics(self, ds, kind):
         model = SharedBottomModel(ds.schema, small_config(kind=kind))
-        labels = label_matrix(ds.iter_samples())
+        labels = np.array([s.labels.labels for s in ds.iter_samples()], dtype=float)
         lengths = [len(imp) for imp in ds.impressions]
         for rank_by in ("aggregate", "task:purchase"):
             scores = np.concatenate(model.ranking_scores(ds.impressions, rank_by=rank_by))
