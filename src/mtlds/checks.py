@@ -21,6 +21,7 @@ from .model import MODEL_KINDS, ModelConfig, SharedBottomModel, softsort_loss
 from .sortops import (
     argsort_desc,
     bce_loss,
+    check_lengths,
     is_unimodal_row_stochastic,
     listnet_loss,
     ranknet_loss,
@@ -77,7 +78,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
     perms = [np.eye(2)[rng.permutation(2)], np.eye(3)[rng.permutation(3)],
              np.eye(2)[rng.permutation(2)]]
     first2, last2 = np.eye(3)[:2], np.eye(3)[1:]
-    lengths = [2, 3, 2]  # two blocks, one of two lists
+    layout = check_lengths([2, 3, 2], 7, "op cases")  # two blocks, one of two lists
     labels = rng.standard_normal(7)
 
     def affine(x: Tensor) -> Tensor:
@@ -91,7 +92,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
         g = x.graph
         corners = [fn.matmul(fn.matmul(g.tensor(sel), x), g.tensor(sel.T))
                    for sel in (first2, last2)]
-        return fn.perm_xent([corners[0], x, corners[1]], perms, np.array([1.0, 0.6, 0.5]))
+        return fn.perm_xent([corners[0], x, corners[1]], perms, np.array([1.0, 0.6, 0.5]), layout)
 
     return {
         "add": (lambda x: fn.add(x, x.graph.tensor(k34)), rng.standard_normal((3, 4))),
@@ -113,7 +114,7 @@ def _op_cases(rng: np.random.Generator) -> dict[str, tuple[Callable[[Tensor], Te
         "softsort_logits": (lambda x: fn.softsort_logits(x, order, 0.7),
                             _spread(rng.standard_normal, (5, 1))),
         "perm_xent": (perm_xent, rng.uniform(0.05, 0.95, (3, 3))),
-        "listnet": (lambda x: fn.listnet(x, labels, lengths), rng.standard_normal((7, 1))),
+        "listnet": (lambda x: fn.listnet(x, labels, layout), rng.standard_normal((7, 1))),
     }
 
 

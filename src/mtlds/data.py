@@ -125,10 +125,16 @@ class Dataset:
         dataset, which is immutable; ``cached_property`` writes the instance
         ``__dict__`` directly, so the frozen dataclass allows it.  This is the
         one walk from sample objects to arrays.  Raises ValueError naming the
-        first sample whose dense values do not number ``dense_count``."""
+        first sample whose labels do not number ``task_count``, or whose
+        dense values do not number ``dense_count``."""
         schema = self.schema
         samples = list(self.iter_samples())
-        n, d = len(samples), schema.dense_count
+        n, d, t = len(samples), schema.dense_count, schema.task_count
+        label_rows = [s.labels.labels for s in samples]
+        bad = next((row for row, r in enumerate(label_rows) if len(r) != t), None)
+        if bad is not None:
+            raise ValueError(f"sample {bad} has {len(label_rows[bad])} labels, "
+                             f"the schema declares {t} tasks")
         bad = next((row for row, s in enumerate(samples) if len(s.dense) != d), None)
         if bad is not None:
             raise ValueError(f"sample {bad} has {len(samples[bad].dense)} dense values, "
@@ -138,8 +144,7 @@ class Dataset:
         ids = np.array(by_field, dtype=np.int64).reshape(len(by_field), n).T
         dense = np.fromiter(chain.from_iterable(s.dense for s in samples), np.float64,
                             count=n * d).reshape(n, d)
-        labels = np.array([s.labels.labels for s in samples],
-                          dtype=np.float64).reshape(n, schema.task_count)
+        labels = np.fromiter(chain.from_iterable(label_rows), np.float64, count=n * t).reshape(n, t)
         lengths = np.array([len(imp) for imp in self.impressions], dtype=np.intp)
         for a in (ids, dense, labels, lengths):
             a.flags.writeable = False

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gradcore.tensor import length_blocks
+from .gradcore.tensor import Layout
 from .sortops import check_lengths, ndcg_position_weights
 
 
@@ -88,13 +88,13 @@ def evaluate_ranking(
     scores: Sequence[float] | np.ndarray,
     gains: Sequence[float] | np.ndarray,
     final_labels: Sequence[int] | np.ndarray,
-    lengths: Sequence[int] | np.ndarray,
+    lengths: Sequence[int] | np.ndarray | Layout,
     cutoffs: Sequence[int],
 ) -> MetricReport:
     """Metrics over impressions laid out flat: ``scores``, ``gains`` and
     ``final_labels`` hold one entry per sample, one impression after another,
-    and ``lengths`` the number of samples of each impression, which must pass
-    ``sortops.check_lengths`` (a ``ShapeMismatchError``, so a ValueError).
+    and ``lengths`` the number of samples of each impression or their
+    ``Layout``, which must pass ``sortops.check_lengths`` (a ValueError).
 
     AUC of the final task is computed globally over all samples.  NDCG is per
     impression, skipping impressions whose gains are all zero, and averaged
@@ -108,17 +108,17 @@ def evaluate_ranking(
             raise ValueError(f"k must be >= 1, got {k}")
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     gains = np.asarray(gains, dtype=np.float64).reshape(-1)
-    if np.size(lengths) == 0:
+    if np.size(lengths.lengths if isinstance(lengths, Layout) else lengths) == 0:
         raise ValueError("no impressions to evaluate")
     if scores.shape != gains.shape:
         raise ValueError(f"{scores.size} scores vs {gains.size} gains")
-    lengths = check_lengths(lengths, scores.size, "evaluate_ranking")
+    lengths, blocks = check_lengths(lengths, scores.size, "evaluate_ranking")
     if np.any(gains < 0):
         raise ValueError("gains must be non-negative")
 
     ndcg = np.empty((len(cutoffs), lengths.size))
     defined = np.zeros(lengths.size, dtype=bool)
-    for rows, cols in length_blocks(lengths):
+    for rows, cols in blocks:
         n = cols.shape[1]
         live = np.any(gains[cols] > 0, axis=1)
         rows, cols = rows[live], cols[live]

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Layout, Tensor
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -80,14 +80,15 @@ def softsort_logits(s: Tensor, order: Sequence[int], tau: float) -> Tensor:
 
 
 def perm_xent(p_hats: Sequence[Tensor], perms: Sequence[np.ndarray],
-              weights: np.ndarray) -> Tensor:
+              weights: np.ndarray, layout: Layout) -> Tensor:
     """Mean over lists of -sum_i weights[i] * sum_j [P log P_hat + (1 - P) log(1 - P_hat)]
-    for square P_hat tensors and hard permutation matrices P of any sizes;
-    ``weights`` covers the longest list."""
-    return p_hats[0].graph.apply("perm_xent", p_hats, perms=list(perms), weights=weights)
+    for square P_hat tensors and hard permutation matrices P of the sizes that
+    ``layout`` lists; ``weights`` covers the longest list."""
+    return p_hats[0].graph.apply("perm_xent", p_hats, perms=list(perms), weights=weights,
+                                 layout=layout)
 
 
-def listnet(s: Tensor, labels: np.ndarray, lengths: Sequence[int] | np.ndarray) -> Tensor:
-    """Mean over the impressions, ``lengths`` rows each in turn, of the
-    cross-entropy between softmax(labels) and softmax(s) within each."""
-    return s.graph.apply("listnet", [s], labels=labels, lengths=np.asarray(lengths, dtype=np.intp))
+def listnet(s: Tensor, labels: np.ndarray, layout: Layout) -> Tensor:
+    """Mean over the impressions of ``layout`` of the cross-entropy between
+    softmax(labels) and softmax(s) within each."""
+    return s.graph.apply("listnet", [s], labels=labels, layout=layout)

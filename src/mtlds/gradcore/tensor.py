@@ -18,7 +18,7 @@ sum on its own contiguous slice, add the sums in list order and multiply by
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -290,6 +290,13 @@ def length_blocks(lengths: Sequence[int] | np.ndarray):
         yield members, starts[members, None] + np.arange(by_length[a])
 
 
+class Layout(NamedTuple):
+    """Lists laid out one after another, as ``sortops.check_lengths`` makes it."""
+
+    lengths: np.ndarray  # np.intp length of each list
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]  # the length_blocks of the lengths
+
+
 def _mean_in_order(per_list: np.ndarray) -> np.ndarray:
     """Sequential sum of the per-list losses times ``1.0 / lists``, as (1, 1)."""
     return np.array([[np.cumsum(per_list)[-1] * (1.0 / per_list.size)]])
@@ -325,8 +332,12 @@ def _perm_xent_group(xs, attrs, members):
 
 
 def _fwd_perm_xent(xs, attrs):
+    sizes, lengths = [x.shape[0] for x in xs], attrs["layout"].lengths
+    if not np.array_equal(lengths, sizes):
+        raise ShapeMismatchError(
+            f"perm_xent: impression lengths {lengths.tolist()} differ from P_hat sizes {sizes}")
     per_list = np.empty(len(xs))
-    for members, _ in length_blocks([x.shape[0] for x in xs]):
+    for members, _ in attrs["layout"].blocks:
         p_hat, p, _, clipped, comp, w = _perm_xent_group(xs, attrs, members)
         per_entry = p * np.log(clipped) + (1.0 - p) * np.log(comp)
         per_list[members] = -(w * per_entry).reshape(len(members), -1).sum(axis=1)
@@ -336,7 +347,7 @@ def _fwd_perm_xent(xs, attrs):
 def _vjp_perm_xent(g, xs, out, attrs):
     c = -(g[0, 0] * (1.0 / len(xs)))
     grads: list[np.ndarray | None] = [None] * len(xs)
-    for members, _ in length_blocks([x.shape[0] for x in xs]):
+    for members, _ in attrs["layout"].blocks:
         p_hat, p, comp_raw, clipped, comp, w = _perm_xent_group(xs, attrs, members)
         g_entry = c * w
         d_clipped = g_entry * p / clipped * ((p_hat >= PROB_EPS) & (p_hat <= 1.0 - PROB_EPS))
@@ -359,21 +370,24 @@ def _listnet_group(s, attrs, rows):
 
 
 def _fwd_listnet(xs, attrs):
-    s, lengths = xs[0], attrs["lengths"]
+    s, (lengths, blocks), labels = xs[0], attrs["layout"], attrs["labels"]
     if s.shape[1] != 1:
         raise ShapeMismatchError(f"listnet: expected a column vector, got {s.shape}")
+    if lengths.sum() != s.shape[0] or labels.shape != (s.shape[0],):
+        raise ShapeMismatchError(f"listnet: {s.shape[0]} scores, labels of shape {labels.shape} "
+                                 f"and impression lengths summing to {lengths.sum()}")
     per_list = np.empty(lengths.size)
-    for members, rows in length_blocks(lengths):
+    for members, rows in blocks:
         q, target = _listnet_group(s, attrs, rows)
         per_list[members] = -(target * np.log(np.clip(q, PROB_EPS, 1.0))).sum(axis=1)
     return _mean_in_order(per_list)
 
 
 def _vjp_listnet(g, xs, out, attrs):
-    s, lengths = xs[0], attrs["lengths"]
+    s, (lengths, blocks) = xs[0], attrs["layout"]
     c = -(g[0, 0] * (1.0 / lengths.size))
     ds = np.zeros_like(s)
-    for _, rows in length_blocks(lengths):
+    for _, rows in blocks:
         q, target = _listnet_group(s, attrs, rows)
         d_q = c * target / np.clip(q, PROB_EPS, 1.0) * ((q >= PROB_EPS) & (q <= 1.0))
         dot = (d_q * q).sum(axis=1, keepdims=True)

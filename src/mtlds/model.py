@@ -21,8 +21,10 @@ from .data import (Columns, Dataset, FieldSpec, Impression, Schema, atomic_open,
                    batch_impressions, require_int)
 from .evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
 from .gradcore import AdamState, Graph, Tensor, adam_step, fn
+from .gradcore.tensor import Layout
 from .sortops import (
     bce_loss,
+    check_lengths,
     check_tau,
     column_inputs,
     listnet_loss,
@@ -128,19 +130,20 @@ def encode_samples(schema: Schema, impressions: Sequence[Impression]) -> Columns
 
 
 def softsort_loss(col: Tensor, target: Sequence[float] | np.ndarray,
-                  lengths: Sequence[int] | np.ndarray | None = None, tau: float = 1.0) -> Tensor:
+                  lengths: Sequence[int] | np.ndarray | Layout | None = None,
+                  tau: float = 1.0) -> Tensor:
     """The paper's sort term: ``sort_loss`` of each impression's SoftSort
     matrix against the hard permutation of its ``target`` (``lengths`` rows
     each, in turn; one impression by default), averaged over impressions, with
     ``soft_sort`` and ``label_permutation`` once per impression in order.  A
     non-finite column has no sort order: its loss is NaN, a divergence to ``fit``."""
-    yv, lengths = column_inputs(col, target, lengths, "softsort_loss")
-    cuts = np.cumsum(lengths)[:-1]
+    yv, layout = column_inputs(col, target, lengths, "softsort_loss")
+    cuts = np.cumsum(layout.lengths)[:-1]
     if not np.all(np.isfinite(col.value)):
         return col.graph.tensor(np.nan)
     p_hats = [soft_sort(fn.gather_rows(col, rows), tau)
               for rows in np.split(np.arange(col.rows), cuts)]
-    return sort_loss(p_hats, [label_permutation(part) for part in np.split(yv, cuts)])
+    return sort_loss(p_hats, [label_permutation(part) for part in np.split(yv, cuts)], layout)
 
 
 # losses of an (n, 1) column against a target vector, averaged over the impressions
@@ -255,14 +258,15 @@ class SharedBottomModel:
         params_t: dict[str, Tensor] | None = None,
     ) -> tuple[list[Tensor], Tensor]:
         """The task terms and the score term of this model's kind (see
-        ``KIND_RULES``), each averaged over the impressions."""
+        ``KIND_RULES``), each averaged over the impressions of one ``Layout``."""
         ids, dense, labels, lengths = encode_samples(self.schema, impressions)
+        layout = check_lengths(lengths, labels.shape[0], "loss_components")
         pt = params_t if params_t is not None else self.bind(graph)
         cols = self.task_columns(graph, ids, dense, pt)
-        task_terms = [self._loss(name)(cols[t], labels[:, t], lengths)
+        task_terms = [self._loss(name)(cols[t], labels[:, t], layout)
                       for t, name in enumerate(self.task_losses)]
         target = label_gain(labels, self.rule.target)
-        return task_terms, self._loss(self.rule.score_loss)(self.score(cols, pt), target, lengths)
+        return task_terms, self._loss(self.rule.score_loss)(self.score(cols, pt), target, layout)
 
     def batch_loss(
         self,

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .gradcore import Tensor, fn
-from .gradcore.tensor import ShapeMismatchError, as_matrix, length_blocks
+from .gradcore.tensor import Layout, ShapeMismatchError, as_matrix, length_blocks
 
 
 def argsort_desc(s: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -94,9 +94,10 @@ def ndcg_position_weights(n: int) -> np.ndarray:
     return 1.0 / np.log2(np.arange(2, n + 2))
 
 
-def sort_loss(p_hats: Sequence[Tensor], perms: Sequence[np.ndarray]) -> Tensor:
-    """Position-weighted cross-entropy between URS matrices and hard
-    permutations, one pair per list, averaged over the lists.
+def sort_loss(p_hats: Sequence[Tensor], perms: Sequence[np.ndarray],
+              layout: Layout | None = None) -> Tensor:
+    """Position-weighted cross-entropy between URS matrices and hard permutations,
+    one pair per list of ``layout`` (by default their sizes), averaged over the lists.
 
     Each list contributes
     -sum_i w[i] * sum_j [P[i,j] log P_hat[i,j] + (1 - P[i,j]) log(1 - P_hat[i,j])],
@@ -106,36 +107,37 @@ def sort_loss(p_hats: Sequence[Tensor], perms: Sequence[np.ndarray]) -> Tensor:
     if len(p_hats) != len(perms) or not p_hats:
         raise ValueError(f"sort_loss: {len(p_hats)} P_hat matrices for {len(perms)} permutations")
     for p_hat, p in zip(p_hats, perms):
-        n = p_hat.rows
-        if p_hat.shape != (n, n) or p.shape != (n, n):
-            raise ShapeMismatchError(
-                f"sort_loss: sizes differ (P_hat {p_hat.shape}, P {p.shape})")
-    n_max = max(p_hat.rows for p_hat in p_hats)
-    return fn.perm_xent(p_hats, perms, ndcg_position_weights(n_max))
+        if p_hat.rows != p_hat.cols or p.shape != p_hat.shape:
+            raise ShapeMismatchError(f"sort_loss: sizes differ (P_hat {p_hat.shape}, P {p.shape})")
+    sizes = [p_hat.rows for p_hat in p_hats]
+    layout = check_lengths(sizes if layout is None else layout, sum(sizes), "sort_loss")
+    return fn.perm_xent(p_hats, perms, ndcg_position_weights(max(sizes)), layout)
 
 
-def check_lengths(lengths: Sequence[int] | np.ndarray | None, rows: int,
-                  loss: str) -> np.ndarray:
-    """The impression lengths of a column of ``rows`` scores as an ``np.intp``
-    array, the whole column when ``lengths`` is None.
+def check_lengths(lengths: Sequence[int] | np.ndarray | Layout | None, rows: int,
+                  loss: str) -> Layout:
+    """The ``Layout`` of impressions of ``lengths`` rows each (the whole
+    column when ``lengths`` is None) in a column of ``rows`` scores: the one
+    grouping by length.  A ``Layout`` comes back as it is.
 
     Raises ShapeMismatchError naming ``loss`` unless the lengths are a 1-D
     array of positive integers that sum to ``rows``.
     """
-    if lengths is None:
-        return np.array([rows], dtype=np.intp)
-    a = np.asarray(lengths)
+    given = lengths.lengths if isinstance(lengths, Layout) else lengths
+    a = np.asarray([rows] if given is None else given)
     if a.ndim != 1 or a.dtype.kind not in "iu" or np.any(a < 1) or a.sum() != rows:
         raise ShapeMismatchError(f"{loss}: impression lengths {a.tolist()} are not positive "
                                  f"integers summing to the column's {rows} rows")
-    return a.astype(np.intp)
+    if isinstance(lengths, Layout):
+        return lengths
+    return Layout(a.astype(np.intp), tuple(length_blocks(a)))
 
 
 def column_inputs(col: Tensor, target: Sequence[float] | np.ndarray,
-                  lengths: Sequence[int] | np.ndarray | None,
-                  loss: str) -> tuple[np.ndarray, np.ndarray]:
+                  lengths: Sequence[int] | np.ndarray | Layout | None,
+                  loss: str) -> tuple[np.ndarray, Layout]:
     """The inputs of a loss of an ``(n, 1)`` score column: the target as a
-    float vector and the checked impression lengths (``check_lengths``).
+    float vector and the impressions' ``Layout`` (``check_lengths``).
 
     Raises ShapeMismatchError naming ``loss`` unless the column has one
     entry per target value.
@@ -147,11 +149,11 @@ def column_inputs(col: Tensor, target: Sequence[float] | np.ndarray,
 
 
 def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
-             lengths: Sequence[int] | np.ndarray | None = None) -> Tensor:
+             lengths: Sequence[int] | np.ndarray | Layout | None = None) -> Tensor:
     """Binary cross-entropy of probabilities ``p`` against binary labels: the
     mean within each impression (``lengths`` rows each, in turn), then the
     mean over impressions (the whole list is one impression by default)."""
-    yv, lengths = column_inputs(p, y, lengths, "bce_loss")
+    yv, (lengths, _) = column_inputs(p, y, lengths, "bce_loss")
     yv = yv.reshape(-1, 1)
     weights = np.repeat(1.0 / (lengths * lengths.size), lengths).reshape(-1, 1)
     g = p.graph
@@ -162,7 +164,7 @@ def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
 
 
 def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
-                 lengths: Sequence[int] | np.ndarray | None = None) -> Tensor:
+                 lengths: Sequence[int] | np.ndarray | Layout | None = None) -> Tensor:
     """Pairwise logistic loss log(1 + exp(-(s_i - s_j))) over the pairs
     y_i > y_j inside each impression (``lengths`` rows each, in turn): the
     mean within an impression, then the mean over impressions (the whole list
@@ -174,9 +176,9 @@ def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
     by impression, which fixes the order of the sum.  An impression without
     ordered pairs adds 0; a constant 0 is returned when no impression has one.
     """
-    yv, lengths = column_inputs(s, y, lengths, "ranknet_loss")
+    yv, (lengths, blocks) = column_inputs(s, y, lengths, "ranknet_loss")
     imp, hi, lo = [], [], []
-    for members, rows in length_blocks(lengths):
+    for members, rows in blocks:
         block = yv[rows]
         b, i, j = np.nonzero(block[:, :, None] > block[:, None, :])
         imp.append(members[b])
@@ -196,7 +198,7 @@ def ranknet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
 
 
 def listnet_loss(s: Tensor, y: Sequence[float] | np.ndarray,
-                 lengths: Sequence[int] | np.ndarray | None = None) -> Tensor:
+                 lengths: Sequence[int] | np.ndarray | Layout | None = None) -> Tensor:
     """Top-1 listwise loss: the cross-entropy between softmax(y) and
     softmax(s) within each impression (``lengths`` rows each, in turn),
     averaged over impressions (the whole list is one impression by default).

@@ -133,6 +133,12 @@ class TestTrain:
             reports.append((out / "seed1" / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to count threads")
+    def test_suite_runs_on_one_blas_thread(self):
+        """``tests/conftest.py`` imports mtlds before numpy, so the pin holds in
+        the test process too and OpenBLAS starts no worker thread."""
+        assert len(os.listdir("/proc/self/task")) == 1
+
     def test_divergence_exits_1_with_one_line(self, tmp_path):
         model = {"kind": "mtlds", "learning_rate": 1.0e200, "epochs": 1, "batch_size": 8}
         config = write_config(tmp_path, model=model)

@@ -416,6 +416,14 @@ class TestColumns:
         with pytest.raises(ValueError, match=f"sample {row} has {counts[row]} dense values"):
             Dataset(schema, (Impression("imp0", samples),)).columns
 
+    @pytest.mark.parametrize("counts, row", [((3, 2), 0), ((2, 1), 1), ((1, 1), 0)])
+    def test_label_count_mismatch_names_the_sample(self, counts, row):
+        schema = Schema((FieldSpec("u", 3),), (), 0, ("click", "buy"))
+        samples = tuple(Sample((0,), (), (), LabelSequence((1,) * k)) for k in counts)
+        message = f"sample {row} has {counts[row]} labels, the schema declares 2 tasks"
+        with pytest.raises(ValueError, match=message):
+            Dataset(schema, (Impression("imp0", samples),)).columns
+
     def test_split_and_project_tasks_build_their_own(self):
         ds = load_dataset(FIXTURES / "golden.tsv")
         whole = ds.columns

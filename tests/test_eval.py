@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mtlds.evaluation import UndefinedMetricError, auc, evaluate_ranking, ndcg_at_k
+from mtlds.sortops import check_lengths
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -174,6 +175,16 @@ class TestEvaluateRanking:
             assert report.ndcg_at[k] == total / len(live)
         assert report.impressions == len(scores)
 
+    def test_prebuilt_layout_gives_the_bits_of_raw_lengths(self):
+        rng = np.random.default_rng(6)
+        lengths = rng.integers(1, 9, 60)
+        n = int(lengths.sum())
+        scores, gains = rng.standard_normal(n), rng.integers(0, 3, n)
+        finals = (gains > 1).astype(int)
+        raw = evaluate_ranking(scores, gains, finals, lengths, (2, 6))
+        built = evaluate_ranking(scores, gains, finals, check_lengths(lengths, n, "test"), (2, 6))
+        assert repr(built.as_dict()) == repr(raw.as_dict())
+
     @pytest.mark.parametrize("scores,gains,lengths,cutoffs,match", [
         ([0.5, 0.1], [1, 0], [2], (2, 0), "k must be >= 1"),
         ([0.5, 0.1], [1, -1], [2], (2,), "gains must be non-negative"),
@@ -183,8 +194,13 @@ class TestEvaluateRanking:
         ([0.5, 0.1, 0.3], [1, 0, 1], [2], (2,), "summing to the column's 3 rows"),
         ([0.5, 0.1, 0.3], [1, 0, 1], [3, 0], (2,), "summing to the column's 3 rows"),
         ([0.5, 0.1], [1, 0], [], (2,), "no impressions to evaluate"),
+        ([0.5, 0.1, 0.3], [1, 0, 1], check_lengths([2, 2], 4, "another column"), (2,),
+         r"evaluate_ranking: impression lengths \[2, 2\] .* the column's 3 rows"),
+        ([0.5, 0.1], [1, 0], check_lengths(np.array([], dtype=np.intp), 0, "no column"), (2,),
+         "no impressions to evaluate"),
     ], ids=["k-zero", "negative-gain", "negative-gain-in-zero-row", "length-mismatch",
-            "list-count-mismatch", "lengths-short", "zero-length", "no-lengths"])
+            "list-count-mismatch", "lengths-short", "zero-length", "no-lengths", "other-layout",
+            "empty-layout"])
     def test_invalid_input_rejected(self, scores, gains, lengths, cutoffs, match):
         finals = np.zeros(len(scores), dtype=int)
         finals[0] = 1

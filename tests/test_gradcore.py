@@ -16,6 +16,7 @@ from mtlds.gradcore import (
 )
 from mtlds.gradcore.functional import concat_cols
 from mtlds.gradcore.tensor import length_blocks
+from mtlds.sortops import check_lengths
 
 
 class TestForward:
@@ -241,6 +242,29 @@ def test_length_blocks_match_the_per_length_version(seed):
 
 def test_length_blocks_of_no_lists_is_empty():
     assert list(length_blocks([])) == []
+
+
+class TestFusedOpsCheckTheirLayout:
+    """A ``Layout`` that does not describe the op's input is an error, not a
+    loss over some of its rows."""
+
+    @pytest.mark.parametrize("rows, labels, lengths", [
+        (7, 7, [2, 3]), (5, 7, [2, 3]), (5, 4, [2, 3]), (5, 5, [2, 3, 2])],
+        ids=["short-layout", "extra-labels", "missing-labels", "long-layout"])
+    def test_listnet_rejects_a_layout_or_labels_not_covering_the_scores(self, rows, labels,
+                                                                        lengths):
+        s = Graph().tensor(np.linspace(-1.0, 1.0, rows))
+        layout = check_lengths(lengths, sum(lengths), "test")
+        with pytest.raises(ShapeMismatchError, match=f"listnet: {rows} scores"):
+            fn.listnet(s, np.zeros(labels), layout)
+
+    @pytest.mark.parametrize("lengths", [[3, 2], [2, 2, 1], [2]])
+    def test_perm_xent_rejects_a_layout_of_other_sizes(self, lengths):
+        g = Graph()
+        p_hats = [g.tensor(np.full((n, n), 1.0 / n)) for n in (2, 3)]
+        layout = check_lengths(lengths, sum(lengths), "test")
+        with pytest.raises(ShapeMismatchError, match=r"perm_xent: impression lengths .* \[2, 3\]"):
+            fn.perm_xent(p_hats, [np.eye(2), np.eye(3)], np.ones(3), layout)
 
 
 class TestAdam:

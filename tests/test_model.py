@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import weakref
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -9,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mtlds.gradcore.tensor as tensor_mod
 import mtlds.model as model_mod
 from mtlds.aggregate import LabelSequence, label_gain
 from mtlds.data import (Dataset, FieldSpec, Impression, Sample, Schema, SynthConfig, split,
@@ -648,6 +650,46 @@ def test_batch_arrays_are_the_datasets_rows():
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype
         npt.assert_array_equal(a, b)
+
+
+@contextmanager
+def counted_groupings():
+    """The lengths of each ``length_blocks`` call made inside the block, from
+    any mtlds module that holds the function."""
+    calls, real = [], tensor_mod.length_blocks
+
+    def counting(lengths):
+        calls.append(np.asarray(lengths).tolist())
+        return real(lengths)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mtlds") and getattr(module, "length_blocks", None) is real:
+                mp.setattr(module, "length_blocks", counting)
+        yield calls
+
+
+class TestOneGroupingPerBatch:
+    """``check_lengths`` groups a batch by impression length once; every
+    loss, op and metric reads that ``Layout``."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return ragged_dataset(impressions=40, seed=2)
+
+    @pytest.mark.parametrize("kind", KIND_RULES)
+    def test_batch_loss_and_backward_group_once(self, ds, kind):
+        model = SharedBottomModel(ds.schema, small_config(kind=kind))
+        with counted_groupings() as calls:
+            g = Graph()
+            g.backward(model.batch_loss(g, ds.impressions))
+        assert calls == [ds.columns.lengths.tolist()]
+
+    def test_evaluation_groups_once(self, ds):
+        model = SharedBottomModel(ds.schema, small_config())
+        with counted_groupings() as calls:
+            evaluate_model(model, ds)
+        assert calls == [ds.columns.lengths.tolist()]
 
 
 class TestFullSetScoring:

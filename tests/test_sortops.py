@@ -13,6 +13,7 @@ from mtlds.model import softsort_loss
 from mtlds.sortops import (
     argsort_desc,
     bce_loss,
+    check_lengths,
     is_unimodal_row_stochastic,
     listnet_loss,
     ndcg_position_weights,
@@ -254,7 +255,8 @@ class TestSpanCheck:
         [[2, 3]],
         [2, 2],
         [3, 5],
-    ], ids=["empty", "negative", "float", "none", "2-d", "short", "past-end"])
+        check_lengths([2, 2], 4, "another column"),
+    ], ids=["empty", "negative", "float", "none", "2-d", "short", "past-end", "other-layout"])
     @pytest.mark.parametrize("loss", [bce_loss, ranknet_loss, listnet_loss, softsort_loss],
                              ids=lambda f: f.__name__)
     def test_bad_spans_raise_shape_mismatch(self, loss, lengths):
@@ -269,6 +271,25 @@ class TestSpanCheck:
         for loss in (bce_loss, ranknet_loss, listnet_loss, softsort_loss):
             loss(p, [1, 0, 1, 0, 1], [1, 4])
             loss(p, [1, 0, 1, 0, 1], np.array([1, 4], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("loss", [bce_loss, ranknet_loss, listnet_loss, softsort_loss],
+                         ids=lambda f: f.__name__)
+def test_prebuilt_layout_gives_the_bits_of_raw_lengths(loss):
+    """A ``Layout`` from ``check_lengths`` gives the value and gradient bits of
+    the raw lengths it was built from."""
+    rng = np.random.default_rng(8)
+    lengths = [3, 1, 4, 3, 2, 4, 1]  # three blocks of two or more lists
+    n = sum(lengths)
+    p = rng.uniform(0.05, 0.95, (n, 1))
+    y = rng.integers(0, 2, n)
+    results = []
+    for given in (lengths, check_lengths(lengths, n, "test")):
+        g = Graph()
+        t = g.tensor(p)
+        out = loss(t, y, given)
+        results.append((out.value.tobytes(), g.backward(out)[t.node_id].tobytes()))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("loss", [bce_loss, ranknet_loss, listnet_loss, softsort_loss],
