@@ -35,7 +35,7 @@ from .data import (
     write_dataset,
 )
 from .evaluation import MetricReport, UndefinedMetricError
-from .gradcore import Graph, corrupted_vjp
+from .gradcore import Graph
 from .model import (
     DivergenceError,
     ModelConfig,
@@ -330,15 +330,9 @@ def cmd_eval(checkpoint_path: str, data_path: str, cutoffs: str, rank_by: str,
 
 @main.command("gradcheck")
 @click.option("--trials", default=20, show_default=True, type=click.IntRange(min=1))
-@click.option("--inject-error", is_flag=True, hidden=True,
-              help="Test hook: corrupt one backward rule so the suite must fail.")
-def cmd_gradcheck(trials: int, inject_error: bool) -> None:
+def cmd_gradcheck(trials: int) -> None:
     """Run gradient checks for every op and loss, plus the URS property sweep."""
-    if inject_error:
-        with corrupted_vjp("sigmoid", factor=1.05):
-            results = run_all_checks(trials=trials)
-    else:
-        results = run_all_checks(trials=trials)
+    results = run_all_checks(trials=trials)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:

@@ -106,6 +106,13 @@ class Columns(NamedTuple):
     labels: np.ndarray  # (N, T) float64: 0 or 1, one column per task
     lengths: np.ndarray  # np.intp samples per impression
 
+    def take(self, impressions: np.ndarray) -> Columns:
+        """The rows of ``impressions`` (positions in ``lengths``) in order, and their lengths."""
+        lengths = self.lengths[impressions]
+        firsts = (np.cumsum(self.lengths) - self.lengths)[impressions]
+        rows = np.repeat(firsts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        return Columns(self.ids[rows], self.dense[rows], self.labels[rows], lengths)
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -403,17 +410,17 @@ def batch_impressions(
     batch_size: int,
     seed: int,
     epoch: int = 0,
-) -> Iterator[list[Impression]]:
-    """Yield shuffled impression batches; impressions are never split.
+) -> Iterator[np.ndarray]:
+    """Yield shuffled batches of positions in ``ds.impressions``, never splitting one.
 
-    The shuffle is a pure function of (seed, epoch), so iteration order is
-    reproducible per epoch.
+    ``ds.columns.take`` gives a batch's rows.  The shuffle is a pure function
+    of (seed, epoch), so iteration order is reproducible per epoch.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     order = np.random.default_rng([seed, epoch]).permutation(len(ds.impressions))
     for start in range(0, len(order), batch_size):
-        yield [ds.impressions[i] for i in order[start:start + batch_size]]
+        yield order[start:start + batch_size]
 
 
 def split_fractions(fractions: Sequence[float]) -> list[float]:

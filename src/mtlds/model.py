@@ -122,10 +122,10 @@ def config_from_dict(d: dict) -> ModelConfig:
 
 
 def encode_samples(schema: Schema, impressions: Sequence[Impression]) -> Columns:
-    """``Dataset.columns`` of a batch of impressions.  It is a module-level
-    name, called through this module's globals, because the benchmark's
-    tracer (``perfbench/tracing.py``) wraps it to time the per-batch
-    conversion (row ``model.encode_samples_s``)."""
+    """``Dataset.columns`` of impression objects, built afresh and not kept, for
+    callers that hold objects, not a dataset.  It is a module-level name, called
+    through this module's globals, because the benchmark's tracer
+    (``perfbench/tracing.py``) wraps it (row ``model.encode_samples_s``)."""
     return Dataset(schema, tuple(impressions)).columns
 
 
@@ -254,12 +254,14 @@ class SharedBottomModel:
     def loss_components(
         self,
         graph: Graph,
-        impressions: Sequence[Impression],
+        batch: Columns | Sequence[Impression],
         params_t: dict[str, Tensor] | None = None,
     ) -> tuple[list[Tensor], Tensor]:
-        """The task terms and the score term of this model's kind (see
-        ``KIND_RULES``), each averaged over the impressions of one ``Layout``."""
-        ids, dense, labels, lengths = encode_samples(self.schema, impressions)
+        """The task terms and the score term of this model's kind (``KIND_RULES``)
+        on ``Columns`` or impressions (``encode_samples``), each a mean over impressions."""
+        if not isinstance(batch, Columns):
+            batch = encode_samples(self.schema, batch)
+        ids, dense, labels, lengths = batch
         layout = check_lengths(lengths, labels.shape[0], "loss_components")
         pt = params_t if params_t is not None else self.bind(graph)
         cols = self.task_columns(graph, ids, dense, pt)
@@ -271,12 +273,12 @@ class SharedBottomModel:
     def batch_loss(
         self,
         graph: Graph,
-        impressions: Sequence[Impression],
+        batch: Columns | Sequence[Impression],
         params_t: dict[str, Tensor] | None = None,
     ) -> Tensor:
-        """Training loss of this model's kind: its task terms plus
-        ``sort_loss_weight`` times its score term, added in that order."""
-        task_terms, score_term = self.loss_components(graph, impressions, params_t)
+        """Training loss of this model's kind on a ``loss_components`` batch: its task
+        terms plus ``sort_loss_weight`` times its score term, added in that order."""
+        task_terms, score_term = self.loss_components(graph, batch, params_t)
         return reduce(fn.add, [*task_terms, fn.scale(score_term, self.config.sort_loss_weight)])
 
     # ---------------------------------------------------------------- scoring
@@ -394,14 +396,16 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
     """Impression-batched Adam training with best-validation-NDCG selection.
 
     Deterministic given the config seed: initialization, batch order, and the
-    synthetic data pipeline all derive from declared seeds.  Raises
-    :class:`UndefinedMetricError` before training when the validation AUC is
-    undefined, and :class:`DivergenceError` naming the epoch and batch if the
+    synthetic data pipeline all derive from declared seeds.  Raises, before
+    training, the ValueError of ``train.columns`` naming a malformed sample
+    and :class:`UndefinedMetricError` when the validation AUC is undefined;
+    then :class:`DivergenceError` naming the epoch and batch if the
     loss goes non-finite, and the parameter too if a gradient does (before
     the Adam step that would spread it).
     """
     if not train.impressions or not valid.impressions:
         raise ValueError("train and valid datasets must be non-empty")
+    columns = train.columns
     final = valid.columns.labels[:, -1]
     positives = int(final.sum())
     if positives in (0, final.size):
@@ -424,7 +428,7 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
                     batch_impressions(train, config.batch_size, seed=config.seed, epoch=epoch - 1)):
                 graph = Graph()
                 pt = model.bind(graph)
-                loss = model.batch_loss(graph, batch, pt)
+                loss = model.batch_loss(graph, columns.take(batch), pt)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise DivergenceError(

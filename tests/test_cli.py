@@ -15,7 +15,7 @@ import mtlds
 import mtlds.cli as cli_mod
 from mtlds.cli import experiment_hash, load_experiment_config, main
 from mtlds.data import load_dataset
-from mtlds.gradcore import OPS
+from mtlds.gradcore import OPS, corrupted_vjp
 from mtlds.model import CHECKPOINT_MAGIC, MODEL_KINDS, CheckpointError, load_checkpoint
 
 runner = CliRunner()
@@ -339,7 +339,8 @@ class TestGradcheckCommand:
         assert "checks passed" not in result.output
 
     def test_injected_error_fails_nonzero(self):
-        result = runner.invoke(main, ["gradcheck", "--trials", "2", "--inject-error"])
+        with corrupted_vjp("sigmoid", factor=1.05):
+            result = runner.invoke(main, ["gradcheck", "--trials", "2"])
         assert result.exit_code == 1
         assert "FAIL" in result.output
 

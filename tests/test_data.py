@@ -447,24 +447,24 @@ class TestBatching:
         assert len(batches) == 1
         assert len(batches[0]) == 23
 
+    @staticmethod
+    def ids(ds, *args, **kwargs):
+        return [ds.impressions[k].id for batch in batch_impressions(ds, *args, **kwargs)
+                for k in batch]
+
     def test_same_seed_and_epoch_reproduce_order(self, ds):
-        a = [imp.id for batch in batch_impressions(ds, 5, seed=3, epoch=2) for imp in batch]
-        b = [imp.id for batch in batch_impressions(ds, 5, seed=3, epoch=2) for imp in batch]
-        assert a == b
+        assert self.ids(ds, 5, seed=3, epoch=2) == self.ids(ds, 5, seed=3, epoch=2)
 
     def test_epoch_changes_order(self, ds):
-        a = [imp.id for batch in batch_impressions(ds, 5, seed=3, epoch=0) for imp in batch]
-        b = [imp.id for batch in batch_impressions(ds, 5, seed=3, epoch=1) for imp in batch]
-        assert a != b
+        assert self.ids(ds, 5, seed=3, epoch=0) != self.ids(ds, 5, seed=3, epoch=1)
 
     def test_union_is_exact_multiset(self, ds):
-        seen = Counter(imp.id for batch in batch_impressions(ds, 4, seed=9) for imp in batch)
-        assert seen == Counter(imp.id for imp in ds.impressions)
+        assert Counter(self.ids(ds, 4, seed=9)) == Counter(imp.id for imp in ds.impressions)
 
     def test_impressions_never_split(self, ds):
         for batch in batch_impressions(ds, 4, seed=1):
-            for imp in batch:
-                assert len(imp) == 3
+            assert ds.columns.take(batch).lengths.tolist() == [
+                len(ds.impressions[k]) for k in batch]
 
 
 class TestSplit:

@@ -577,6 +577,30 @@ class TestFit:
         with pytest.raises(UndefinedMetricError, match="validation AUC undefined"):
             fit(small_config(epochs=1), tr, valid)
 
+    @pytest.mark.parametrize("labels, dense, message", [
+        ((1,), 0, "sample 29 has 1 labels, the schema declares 2 tasks"),
+        ((1, 0), 1, "sample 29 has 1 dense values, the schema declares 0"),
+    ])
+    def test_malformed_train_sample_fails_before_the_first_step(self, datasets, monkeypatch,
+                                                                 labels, dense, message):
+        tr, va, _ = datasets
+        # the bad sample is the second of impression 7, which batch 0 does not hold
+        bad = Sample((0,), (0,), (0.5,) * dense, LabelSequence(labels))
+        imp = tr.impressions[7]
+        imps = list(tr.impressions)
+        imps[7] = Impression(imp.id, (imp.samples[0], bad, *imp.samples[2:]))
+        train = Dataset(tr.schema, tuple(imps))
+        config = small_config(epochs=1, batch_size=4)
+        first = next(model_mod.batch_impressions(train, 4, seed=config.seed, epoch=0))
+        assert 7 not in first
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(model_mod, "adam_step", no_step)
+        with pytest.raises(ValueError, match=message):
+            fit(config, train, va)
+
     def test_training_reduces_loss(self, datasets):
         tr, va, _ = datasets
         config = small_config(epochs=4, batch_size=8, learning_rate=0.05)
@@ -637,19 +661,56 @@ def ragged_dataset(impressions=600, seed=0, sizes=(1, 6), dense=1):
 
 
 def test_batch_arrays_are_the_datasets_rows():
-    """A batch's ``encode_samples`` arrays equal the matching rows of the
-    whole dataset's ``columns``."""
+    """A batch's ``encode_samples`` arrays and its ``columns.take`` arrays
+    both equal the matching rows of the whole dataset's ``columns``."""
     ds = ragged_dataset(impressions=60, seed=4, sizes=(2, 40), dense=2)
     whole = ds.columns
     assert (whole.ids < 0).any() and (whole.ids >= [6, 10]).any()  # out-of-vocabulary ids
     starts = np.concatenate(([0], np.cumsum(whole.lengths)))
     picked = np.random.default_rng(1).permutation(len(ds.impressions))[:16]
     rows = np.concatenate([np.arange(starts[k], starts[k + 1]) for k in picked])
-    got = encode_samples(ds.schema, [ds.impressions[k] for k in picked])
     want = (whole.ids[rows], whole.dense[rows], whole.labels[rows], whole.lengths[picked])
-    for a, b in zip(got, want, strict=True):
-        assert a.dtype == b.dtype
-        npt.assert_array_equal(a, b)
+    for got in (encode_samples(ds.schema, [ds.impressions[k] for k in picked]),
+                whole.take(picked)):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype
+            npt.assert_array_equal(a, b)
+
+
+class TestTrainingReadsColumns:
+    """``fit`` trains on row selections of its train split's ``columns``;
+    ``batch_loss`` on impressions is the same loss."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return ragged_dataset(impressions=40, seed=6, sizes=(1, 9), dense=2)
+
+    @pytest.mark.parametrize("kind", KIND_RULES)
+    def test_take_batch_and_impressions_give_identical_loss_and_gradients(self, ds, kind):
+        model = SharedBottomModel(ds.schema, small_config(kind=kind))
+        picked = np.random.default_rng(2).permutation(len(ds.impressions))[:25]
+        results = []
+        for batch in (ds.columns.take(picked), [ds.impressions[k] for k in picked]):
+            g = Graph()
+            pt = model.bind(g)
+            loss = model.batch_loss(g, batch, pt)
+            grads = g.backward(loss)
+            results.append((loss.item(), [grads[pt[n].node_id] for n in model.params]))
+        (loss_a, grads_a), (loss_b, grads_b) = results
+        assert loss_a == loss_b
+        for a, b in zip(grads_a, grads_b, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", KIND_RULES)
+    def test_fit_walks_no_sample_objects_per_batch(self, ds, kind, monkeypatch):
+        tr, va, _ = split(ds, (0.6, 0.4, 0.0), seed=1)
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a batch was converted from sample objects")
+
+        monkeypatch.setattr(model_mod, "encode_samples", no_walk)
+        _, report = fit(small_config(kind=kind, epochs=2, batch_size=8), tr, va)
+        assert len(report.epochs) == 2
 
 
 @contextmanager
