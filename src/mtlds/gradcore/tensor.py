@@ -13,7 +13,9 @@ each replays, in one node, the elementwise arithmetic of the composition of
 basic ops it replaces, in the same order, so values and gradients keep their
 bits.  The two batch losses stack the lists of one length, take each list's
 sum on its own contiguous slice, add the sums in list order and multiply by
-``1.0 / lists``: the mean over lists.
+``1.0 / lists``: the mean over lists.  Their forward rules keep each length
+block's arrays in the node's ``attrs["saved"]``, and their VJPs read them
+there instead of building them again.
 """
 
 from __future__ import annotations
@@ -337,8 +339,9 @@ def _fwd_perm_xent(xs, attrs):
         raise ShapeMismatchError(
             f"perm_xent: impression lengths {lengths.tolist()} differ from P_hat sizes {sizes}")
     per_list = np.empty(len(xs))
-    for members, _ in attrs["layout"].blocks:
-        p_hat, p, _, clipped, comp, w = _perm_xent_group(xs, attrs, members)
+    blocks = attrs["layout"].blocks
+    attrs["saved"] = [_perm_xent_group(xs, attrs, members) for members, _ in blocks]
+    for (members, _), (_, p, _, clipped, comp, w) in zip(blocks, attrs["saved"]):
         per_entry = p * np.log(clipped) + (1.0 - p) * np.log(comp)
         per_list[members] = -(w * per_entry).reshape(len(members), -1).sum(axis=1)
     return _mean_in_order(per_list)
@@ -347,8 +350,8 @@ def _fwd_perm_xent(xs, attrs):
 def _vjp_perm_xent(g, xs, out, attrs):
     c = -(g[0, 0] * (1.0 / len(xs)))
     grads: list[np.ndarray | None] = [None] * len(xs)
-    for members, _ in attrs["layout"].blocks:
-        p_hat, p, comp_raw, clipped, comp, w = _perm_xent_group(xs, attrs, members)
+    blocks = attrs["layout"].blocks
+    for (members, _), (p_hat, p, comp_raw, clipped, comp, w) in zip(blocks, attrs["saved"]):
         g_entry = c * w
         d_clipped = g_entry * p / clipped * ((p_hat >= PROB_EPS) & (p_hat <= 1.0 - PROB_EPS))
         d_comp = g_entry * (1.0 - p) / comp * ((comp_raw >= PROB_EPS) & (comp_raw <= 1.0))
@@ -377,8 +380,8 @@ def _fwd_listnet(xs, attrs):
         raise ShapeMismatchError(f"listnet: {s.shape[0]} scores, labels of shape {labels.shape} "
                                  f"and impression lengths summing to {lengths.sum()}")
     per_list = np.empty(lengths.size)
-    for members, rows in blocks:
-        q, target = _listnet_group(s, attrs, rows)
+    attrs["saved"] = [_listnet_group(s, attrs, rows) for _, rows in blocks]
+    for (members, _), (q, target) in zip(blocks, attrs["saved"]):
         per_list[members] = -(target * np.log(np.clip(q, PROB_EPS, 1.0))).sum(axis=1)
     return _mean_in_order(per_list)
 
@@ -387,8 +390,7 @@ def _vjp_listnet(g, xs, out, attrs):
     s, (lengths, blocks) = xs[0], attrs["layout"]
     c = -(g[0, 0] * (1.0 / lengths.size))
     ds = np.zeros_like(s)
-    for _, rows in blocks:
-        q, target = _listnet_group(s, attrs, rows)
+    for (_, rows), (q, target) in zip(blocks, attrs["saved"]):
         d_q = c * target / np.clip(q, PROB_EPS, 1.0) * ((q >= PROB_EPS) & (q <= 1.0))
         dot = (d_q * q).sum(axis=1, keepdims=True)
         ds[rows, 0] += q * (d_q - dot)

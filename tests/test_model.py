@@ -646,8 +646,8 @@ class TestRankingAndEvaluation:
 
 def ragged_dataset(impressions=600, seed=0, sizes=(1, 6), dense=1):
     """Impressions of ``sizes`` items (by default 1 to 6), some ids outside
-    the vocabulary, ``dense`` dense values, by default more impressions than
-    one scoring chunk."""
+    the vocabulary, ``dense`` dense values, by default more rows than two
+    scoring ranges (``SCORE_ROWS``)."""
     rng = np.random.default_rng(seed)
     imps = []
     for k in range(impressions):
@@ -755,7 +755,7 @@ class TestOneGroupingPerBatch:
 
 class TestFullSetScoring:
     """``evaluate_model`` scores ``Dataset.columns``; ``ranking_scores``
-    scores impressions; both share one chunk loop."""
+    scores impressions; both share one loop over row ranges."""
 
     @pytest.fixture(scope="class")
     def ds(self):
@@ -782,6 +782,59 @@ class TestFullSetScoring:
     def test_ranking_scores_of_no_impressions(self):
         model = SharedBottomModel(tiny_schema(), small_config())
         assert model.ranking_scores([]) == []
+
+    def test_one_scoring_graph_is_alive_at_a_time(self, ds, monkeypatch):
+        """Each range's graph is freed, by reference counting alone, before
+        the next range's graph is built."""
+        created = []
+
+        class OneAtATime(Graph):
+            def __init__(self):
+                assert all(ref() is None for ref in created), "an earlier graph is alive"
+                super().__init__()
+                created.append(weakref.ref(self))
+
+        ids, dense, _, _ = ds.columns
+        assert len(ids) > 2 * model_mod.SCORE_ROWS
+        model = SharedBottomModel(ds.schema, small_config())
+        monkeypatch.setattr(model_mod, "Graph", OneAtATime)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model.flat_scores(ids, dense)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(created) == 3
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_graphs_score_row_ranges_across_impressions(self, kind, monkeypatch):
+        """With ``SCORE_ROWS`` at 5, lists of 3, 4, 2 and 6 items are scored
+        as rows 0-4, 5-9 and 10-14, ranges that cut lists, in row order, and
+        the scores match one graph over every row."""
+        lengths = [3, 4, 2, 6]
+        ds = Dataset(tiny_schema(dense=1), tuple(
+            make_impression(f"imp{k}", [(1, 0)] * n, dense=1, seed=k)
+            for k, n in enumerate(lengths)))
+        ids, dense, _, _ = ds.columns
+        model = SharedBottomModel(ds.schema, small_config(kind=kind))
+        one_graph = {r: model.flat_scores(ids, dense, r) for r in ("aggregate", "task:purchase")}
+        seen, real = [], SharedBottomModel.task_columns
+
+        def recording(self, graph, ids, dense, params_t=None):
+            seen.append(dense.copy())
+            return real(self, graph, ids, dense, params_t)
+
+        monkeypatch.setattr(SharedBottomModel, "task_columns", recording)
+        monkeypatch.setattr(model_mod, "SCORE_ROWS", 5)
+        for rank_by, want in one_graph.items():
+            seen.clear()
+            got = model.flat_scores(ids, dense, rank_by)
+            sizes = [len(rows) for rows in seen]
+            assert sizes == [5, 5, 5]
+            assert set(np.cumsum(sizes)[:-1].tolist()).isdisjoint(np.cumsum(lengths).tolist())
+            npt.assert_array_equal(np.concatenate(seen), dense)
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestCheckpoint:
