@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregate import LabelSequence, aggregate_columns
-from .data import FieldSpec, Impression, Sample, Schema
+from .aggregate import aggregate_columns
+from .data import Columns, FieldSpec, Schema
 from .gradcore import Graph, Tensor, fn, grad_check
 from .model import MODEL_KINDS, ModelConfig, SharedBottomModel, softsort_loss
 from .sortops import (
@@ -195,30 +195,26 @@ TOY_SCHEMA = Schema(
 )
 
 
-def _toy_impression(rng: np.random.Generator, n: int = 5) -> Impression:
-    tasks = TOY_SCHEMA.task_count
+def _toy_batch(rng: np.random.Generator, n: int = 5) -> Columns:
+    """One impression of ``n`` samples of one user, as the arrays ``fit`` trains on."""
     user = int(rng.integers(8))
-    samples = []
     # every behaviour depth occurs, so every tower of every kind gets a gradient
-    for depth in rng.permutation(np.arange(n) % (tasks + 1)):
-        labels = LabelSequence(tuple(1 if t < depth else 0 for t in range(tasks)))
-        samples.append(Sample(
-            user_ids=(user,),
-            item_ids=(int(rng.integers(8)),),
-            dense=(float(rng.standard_normal()),),
-            labels=labels,
-        ))
-    return Impression("imp0", tuple(samples))
+    depths = rng.permutation(np.arange(n) % (TOY_SCHEMA.task_count + 1))
+    draws = [(int(rng.integers(8)), float(rng.standard_normal())) for _ in depths]
+    return Columns(ids=np.array([(user, item) for item, _ in draws], dtype=np.int64),
+                   dense=np.array([[x] for _, x in draws]),
+                   labels=(np.arange(TOY_SCHEMA.task_count) < depths[:, None]).astype(np.float64),
+                   lengths=np.array([n], dtype=np.intp))
 
 
-def _kink_distance(model: SharedBottomModel, imp: Impression) -> float:
-    """How far ``batch_loss`` at ``imp`` is from a kink: the smallest |ReLU
+def _kink_distance(model: SharedBottomModel, batch: Columns) -> float:
+    """How far ``batch_loss`` at ``batch`` is from a kink: the smallest |ReLU
     input|, and the smallest gap between two ranking scores (the hard sort
     inside SoftSort switches where two scores cross)."""
     g = Graph()
-    model.batch_loss(g, [imp])
+    model.batch_loss(g, batch)
     relu = min((np.abs(x).min() for x in g.inputs_of("relu")), default=np.inf)
-    return min(relu, np.diff(np.sort(model.ranking_scores([imp])[0])).min())
+    return min(relu, np.diff(np.sort(model.flat_scores(batch.ids, batch.dense))).min())
 
 
 def check_batch_loss(seed: int = 3, tol: float = 1e-3) -> list[CheckResult]:
@@ -232,15 +228,15 @@ def check_batch_loss(seed: int = 3, tol: float = 1e-3) -> list[CheckResult]:
         config = ModelConfig(kind=kind, aggregator="linear", embedding_dim=4,
                              shared_layers=(6,), tower_layers=(4,), seed=seed)
         model = SharedBottomModel(TOY_SCHEMA, config)
-        imp = _toy_impression(rng)
-        while _kink_distance(model, imp) <= KINK_MARGIN:
-            imp = _toy_impression(rng)
+        batch = _toy_batch(rng)
+        while _kink_distance(model, batch) <= KINK_MARGIN:
+            batch = _toy_batch(rng)
         worst = 0.0
         for name in model.params:
             def f(x: Tensor, _name=name) -> Tensor:
                 pt = model.bind(x.graph)
                 pt[_name] = x
-                return model.batch_loss(x.graph, [imp], pt)
+                return model.batch_loss(x.graph, batch, pt)
 
             worst = max(worst, grad_check(f, model.params[name]))
         results.append(CheckResult(f"model:batch_loss:{kind}", worst, tol))

@@ -27,6 +27,7 @@ from .data import (
     Schema,
     SynthConfig,
     atomic_open,
+    from_dict,
     load_dataset,
     require_int,
     split,
@@ -34,13 +35,12 @@ from .data import (
     synthesize,
     write_dataset,
 )
-from .evaluation import MetricReport, UndefinedMetricError
+from .evaluation import UndefinedMetricError
 from .gradcore import Graph
 from .model import (
     DivergenceError,
     ModelConfig,
     SharedBottomModel,
-    config_from_dict,
     evaluate_model,
     fit,
     load_checkpoint,
@@ -58,10 +58,10 @@ class ExperimentConfig:
     model: ModelConfig
     synth: SynthConfig | None
     dataset_path: str | None
-    split: tuple[float, float, float]
-    cutoffs: tuple[int, ...]
-    seeds: tuple[int, ...]
-    out_dir: str
+    split: tuple[float, float, float] = (0.7, 0.15, 0.15)
+    cutoffs: tuple[int, ...] = (2, 6, 12)
+    seeds: tuple[int, ...] = (1,)
+    out_dir: str = "runs/experiment"
     rank_by: str = "aggregate"
     gain: str = "depth"
 
@@ -79,9 +79,29 @@ class ExperimentConfig:
             raise ConfigError("cutoff list is empty")
         for i, k in enumerate(self.cutoffs):
             require_int(f"cutoffs[{i}]", k, 1)
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not isinstance(self.dataset_path, (str, type(None))):
+            raise ConfigError(f"data.path must be a string, got {self.dataset_path!r}")
         if self.gain not in GAINS:
             raise ConfigError(f"gain must be 'depth' or 'final', got {self.gain!r}")
         rank_by_task(self.rank_by)  # the task name is checked once the data is loaded
+
+
+# the top-level keys of a config file besides its "model" and "data" sections
+TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                 if f.name not in ("model", "synth", "dataset_path"))
+
+
+def _section(what: str, cls, d):
+    """``from_dict(cls, d)``, an absent or empty ``d`` taken as no keys; a
+    fault that is not already a ConfigError becomes one prefixed ``what``."""
+    try:
+        return from_dict(cls, d or {})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -92,46 +112,22 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
-    known = {"model", "data", "split", "cutoffs", "seeds", "out_dir", "rank_by", "gain"}
-    unknown = raw.keys() - known
+    unknown = raw.keys() - {"model", "data", *TOP_KEYS}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
 
-    try:
-        model = config_from_dict(dict(raw.get("model") or {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
-
+    model_raw = raw.get("model")
+    if isinstance(model_raw, dict) and "seed" in model_raw:
+        raise ConfigError("model.seed is not read: the run seeds come from `seeds` (or --seed)")
+    model = _section("bad model section", ModelConfig, model_raw)
     data_raw = raw.get("data") or {}
     if not isinstance(data_raw, dict) or (data_raw.keys() - {"synth", "path"}):
         raise ConfigError("data section must contain only 'synth' and/or 'path'")
-    synth_cfg = None
-    if "synth" in data_raw:
-        try:
-            synth_raw = dict(data_raw["synth"] or {})
-            for key in ("tasks", "biases"):
-                if key in synth_raw:
-                    synth_raw[key] = tuple(synth_raw[key])
-            synth_cfg = SynthConfig(**synth_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad data.synth section: {exc}") from exc
-
-    try:
-        return ExperimentConfig(
-            model=model,
-            synth=synth_cfg,
-            dataset_path=data_raw.get("path"),
-            split=tuple(raw.get("split", (0.7, 0.15, 0.15))),
-            cutoffs=tuple(raw.get("cutoffs", (2, 6, 12))),
-            seeds=tuple(raw.get("seeds", (1,))),
-            out_dir=str(raw.get("out_dir", "runs/experiment")),
-            rank_by=str(raw.get("rank_by", "aggregate")),
-            gain=str(raw.get("gain", "depth")),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    synth = (_section("bad data.synth section", SynthConfig, data_raw["synth"])
+             if "synth" in data_raw else None)
+    given = {k: raw[k] for k in TOP_KEYS if k in raw}
+    return _section("bad config value", ExperimentConfig,
+                    dict(given, model=model, synth=synth, dataset_path=data_raw.get("path")))
 
 
 def experiment_hash(cfg: ExperimentConfig) -> str:
@@ -215,7 +211,7 @@ def _single_seed_run(cfg: ExperimentConfig, source: Dataset, seed: int, out_dir:
         "test": metrics.as_dict(),
     }
     _write_json(seed_dir / "report.json", payload)
-    return payload, metrics
+    return payload["test"]
 
 
 @main.command("train")
@@ -245,41 +241,34 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
     except (ConfigError, DatasetFormatError, ValueError) as exc:
         _fail(str(exc), 2)
     out_dir = _resolve_out_dir(cfg, out_flag)
-    payloads: dict[int, dict] = {}
-    reports: dict[int, MetricReport] = {}
+    tests: dict[int, dict] = {}
     try:
         for seed in cfg.seeds:
-            payloads[seed], reports[seed] = _single_seed_run(cfg, source, seed, out_dir)
+            tests[seed] = _single_seed_run(cfg, source, seed, out_dir)
     except DivergenceError as exc:
         _fail(str(exc), 1)
     except UndefinedMetricError as exc:
         _fail(f"metric undefined on this split: {exc}", 1)
 
-    metric_keys = ["auc"] + [f"ndcg@{k}" for k in cfg.cutoffs]
-
-    def metric_value(report: MetricReport, key: str) -> float:
-        return report.auc if key == "auc" else report.ndcg_at[int(key.split("@")[1])]
-
+    # each seed's metrics keyed as in aggregate.json; a repeated cutoff repeats its key
+    keys = ["auc"] + [f"ndcg@{k}" for k in cfg.cutoffs]
+    rows = [{"auc": t["auc"], **{f"ndcg@{k}": v for k, v in t["ndcg"].items()}}
+            for t in tests.values()]
     aggregate = {
         "config_hash": experiment_hash(cfg),
         "model_kind": cfg.model.kind,
         "seeds": list(cfg.seeds),
-        "per_seed": {str(s): payloads[s]["test"] for s in cfg.seeds},
-        "mean": {},
-        "std": {},
+        "per_seed": {str(s): t for s, t in tests.items()},
+        "mean": {k: float(np.mean([r[k] for r in rows])) for k in keys},
+        "std": {k: float(np.std([r[k] for r in rows], ddof=1)) if len(rows) > 1 else 0.0
+                for k in keys},
     }
-    for key in metric_keys:
-        values = [metric_value(r, key) for r in reports.values()]
-        aggregate["mean"][key] = float(np.mean(values))
-        aggregate["std"][key] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     _write_json(out_dir / "aggregate.json", aggregate)
 
     summary = [f"model={cfg.model.kind} config_hash={aggregate['config_hash']}"]
-    for s in cfg.seeds:
-        test = payloads[s]["test"]
-        ndcg_text = " ".join(f"ndcg@{k}={test['ndcg'][str(k)]:.4f}" for k in cfg.cutoffs)
-        summary.append(f"seed {s}: auc={test['auc']:.4f} {ndcg_text}")
-    mean_text = " ".join(f"{k}={aggregate['mean'][k]:.4f}" for k in metric_keys)
+    summary += [f"seed {s}: " + " ".join(f"{k}={r[k]:.4f}" for k in keys)
+                for s, r in zip(cfg.seeds, rows)]
+    mean_text = " ".join(f"{k}={aggregate['mean'][k]:.4f}" for k in keys)
     summary.append(f"mean over {len(cfg.seeds)} seed(s): {mean_text}")
     _write_text(out_dir / "summary.txt", "\n".join(summary) + "\n")
     for line in summary:
@@ -296,17 +285,20 @@ def _schema_mismatches(a: Schema, b: Schema) -> list[str]:
 @click.option("--checkpoint", "checkpoint_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--cutoffs", default="2,6,12", show_default=True)
-@click.option("--rank-by", "rank_by", default="aggregate", show_default=True)
-@click.option("--gain", default="depth", show_default=True, type=click.Choice(GAINS))
+@click.option("--cutoffs", default=",".join(map(str, ExperimentConfig.cutoffs)), show_default=True)
+@click.option("--rank-by", "rank_by", default=ExperimentConfig.rank_by, show_default=True)
+@click.option("--gain", default=ExperimentConfig.gain, show_default=True, type=click.Choice(GAINS))
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def cmd_eval(checkpoint_path: str, data_path: str, cutoffs: str, rank_by: str,
              gain: str, out_path: str | None) -> None:
     """Evaluate a checkpoint on a dataset file."""
     try:
-        ks = tuple(int(k) for k in cutoffs.split(","))
-        if any(k < 1 for k in ks):
-            raise ConfigError(f"cutoffs must be positive integers, got {cutoffs}")
+        try:
+            ks = tuple(int(k) for k in cutoffs.split(","))
+            if any(k < 1 for k in ks):
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"cutoffs must be positive integers, got {cutoffs}") from None
         model = load_checkpoint(checkpoint_path)
         ds = load_dataset(data_path)
         mismatches = _schema_mismatches(model.schema, ds.schema)

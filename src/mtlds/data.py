@@ -333,6 +333,13 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def from_dict(cls, d):
+    """``cls(**d)`` with every list value of the mapping ``d`` made a tuple:
+    the one rule that turns a YAML or JSON section into a frozen config.
+    Raises TypeError or ValueError for a non-mapping, an unknown key or a bad value."""
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in dict(d).items()})
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Latent-factor generator configuration.

@@ -55,8 +55,7 @@ def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray
 
 def _dcg(gains_in_rank_order: np.ndarray, k: int) -> float:
     top = gains_in_rank_order[:k]
-    discounts = 1.0 / np.log2(np.arange(2, top.size + 2))
-    return float(((2.0 ** top - 1.0) * discounts).sum())
+    return float(((2.0 ** top - 1.0) * ndcg_position_weights(top.size)).sum())
 
 
 def ndcg_at_k(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregate import AGGREGATOR_KINDS, aggregate_columns, label_gain, label_permutation
 from .data import (Columns, Dataset, FieldSpec, Impression, Schema, atomic_open,
-                   batch_impressions, require_int)
+                   batch_impressions, from_dict, require_int)
 from .evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
 from .gradcore import AdamState, Graph, Tensor, adam_step, fn
 from .gradcore.tensor import Layout
@@ -114,13 +114,8 @@ class ModelConfig:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    kwargs = dict(d)
-    for key in ("shared_layers", "tower_layers"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    if isinstance(kwargs.get("task_loss"), list):
-        kwargs["task_loss"] = tuple(kwargs["task_loss"])
-    return ModelConfig(**kwargs)
+    """A model config section or checkpoint manifest entry, read by ``from_dict``."""
+    return from_dict(ModelConfig, d)
 
 
 def encode_samples(schema: Schema, impressions: Sequence[Impression]) -> Columns:
@@ -338,12 +333,12 @@ class SharedBottomModel:
 def rank_by_task(rank_by: str, tasks: Sequence[str] | None = None) -> str | None:
     """The task named by ``rank_by="task:<name>"``, or None for ``"aggregate"``.
 
-    Raises ValueError for any other value, and for a name not in ``tasks``
-    when they are given.
+    Raises ValueError for any other value, a non-string included, and for a
+    name not in ``tasks`` when they are given.
     """
     if rank_by == "aggregate":
         return None
-    if not rank_by.startswith("task:"):
+    if not (isinstance(rank_by, str) and rank_by.startswith("task:")):
         raise ValueError(f"rank_by must be 'aggregate' or 'task:<name>', got {rank_by!r}")
     name = rank_by[len("task:"):]
     if tasks is not None and name not in tasks:
@@ -363,8 +358,6 @@ def evaluate_model(
     ``gain="depth"`` scores each item by its behavior depth (summed labels);
     ``gain="final"`` uses the binary final-task label only.
     """
-    if not ds.impressions:
-        raise ValueError("no impressions to evaluate")
     ids, dense, labels, lengths = ds.columns
     scores = model.flat_scores(ids, dense, rank_by)
     return evaluate_ranking(scores, label_gain(labels, gain), labels[:, -1], lengths, cutoffs)
@@ -389,12 +382,7 @@ class TrainReport:
     best_epoch: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "seed": self.seed,
-            "best_epoch": self.best_epoch,
-            "epochs": [asdict(e) for e in self.epochs],
-        }
+        return asdict(self)
 
 
 def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBottomModel, TrainReport]:

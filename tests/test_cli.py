@@ -211,7 +211,7 @@ class TestEval:
         assert result.exit_code == 2, result.output
         assert message in result.output
 
-    @pytest.mark.parametrize("cutoffs", ["0", "-3,2"])
+    @pytest.mark.parametrize("cutoffs", ["0", "-3,2", "a"])
     def test_non_positive_cutoff_exits_2_before_loading(self, trained, monkeypatch, cutoffs):
         ckpt, data_path = trained
 
@@ -399,16 +399,39 @@ class TestConfigHandling:
         ({"data": {"synth": [1]}}, "bad data.synth section"),
         ({"data": {"synth": {"tasks": 5}}}, "bad data.synth section"),
         ({"data": {"synth": {"biases": 3}}}, "bad data.synth section"),
+        ({"model": {"kind": "esmm", "seed": 9}}, "the run seeds come from `seeds` (or --seed)"),
+        ({"gain": 5}, "gain must be 'depth' or 'final'"),
+        ({"rank_by": 5}, "rank_by must be 'aggregate' or 'task:<name>'"),
+        ({"data": {"path": 5}}, "data.path must be a string, got 5"),
     ], ids=["repeated-seeds", "tau-nan", "tau-inf", "lr-nan", "lr-zero", "esmm-aggregator",
             "mtlds-aggregator", "gain", "rank-by", "weight-nan", "weight-inf", "weight-negative",
             "split-nan", "split-inf", "split-string", "split-negative", "esmm-three-tasks",
-            "task-loss-length", "synth-list", "synth-tasks-number", "synth-biases-number"])
+            "task-loss-length", "synth-list", "synth-tasks-number", "synth-biases-number",
+            "model-seed", "gain-number", "rank-by-number", "data-path-number"])
     def test_bad_config_value_exits_2(self, tmp_path, overrides, message):
         config = write_config(tmp_path, **overrides)
         result = runner.invoke(main, ["train", "--config", str(config)])
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "runs").exists()
+
+    def test_non_string_out_dir_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["train", "--config", str(write_config(tmp_path, out_dir=5))])
+        assert result.exit_code == 2, result.output
+        assert "out_dir must be a string, got 5" in result.output
+        assert not (tmp_path / "5").exists()
+
+    def test_documented_examples_load_to_one_experiment(self, tmp_path):
+        """README's config block and configs/example.yaml spell the same run:
+        the README gives every synth default that the example leaves out."""
+        root = Path(__file__).parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"### Experiment config\n\n.*?```yaml\n(.*?)```", readme, re.S)[1]
+        from_readme = tmp_path / "readme.yaml"
+        from_readme.write_text(block, encoding="utf-8")
+        example = load_experiment_config(root / "configs" / "example.yaml")
+        assert experiment_hash(load_experiment_config(from_readme)) == experiment_hash(example)
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("model", "epochs", 2.5, "epochs must be an integer >= 0, got 2.5"),

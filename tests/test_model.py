@@ -624,8 +624,15 @@ class TestRankingAndEvaluation:
         model = SharedBottomModel(tiny_schema(), small_config())
         with pytest.raises(ValueError, match="rank_by"):
             model.ranking_scores([IMP], rank_by="by-vibes")
+        with pytest.raises(ValueError, match="rank_by must be 'aggregate' or 'task:<name>', got 5"):
+            model.ranking_scores([IMP], rank_by=5)
         with pytest.raises(ValueError, match="unknown task"):
             model.ranking_scores([IMP], rank_by="task:install")
+
+    def test_empty_dataset_has_nothing_to_evaluate(self):
+        model = SharedBottomModel(tiny_schema(), small_config())
+        with pytest.raises(ValueError, match="no impressions to evaluate"):
+            evaluate_model(model, Dataset(tiny_schema(), ()))
 
     def test_esmm_aggregate_score_is_product(self):
         model = SharedBottomModel(tiny_schema(), small_config(kind="esmm"))
