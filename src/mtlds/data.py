@@ -19,16 +19,16 @@ import io
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import chain
-from numbers import Real
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .aggregate import LabelOrderError, LabelSequence
+from .sortops import finite_real
 
 SCHEMA_PREFIX = "!schema"
 HEADER_KEYS = ("user", "item", "dense", "tasks")
@@ -336,8 +336,13 @@ def require_int(name: str, value, minimum: int) -> None:
 def from_dict(cls, d):
     """``cls(**d)`` with every list value of the mapping ``d`` made a tuple:
     the one rule that turns a YAML or JSON section into a frozen config.
-    Raises TypeError or ValueError for a non-mapping, an unknown key or a bad value."""
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in dict(d).items()})
+    Raises TypeError or ValueError for a non-mapping, an unknown key or a bad value,
+    such as a non-list for a field whose default is a tuple."""
+    d = dict(d)
+    for f in fields(cls):
+        if isinstance(f.default, tuple) and not isinstance(d.get(f.name, ()), (list, tuple)):
+            raise ValueError(f"{f.name} must be a list, got {d[f.name]!r}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -366,13 +371,13 @@ class SynthConfig:
             raise ValueError("need at least 2 tasks (click plus one post-click behavior)")
         if len(self.biases) != len(self.tasks):
             raise ValueError(f"{len(self.biases)} biases for {len(self.tasks)} tasks")
-        if not np.all(np.isfinite(self.biases)):
+        if not all(finite_real(b) for b in self.biases):
             raise ValueError(f"biases must be finite, got {self.biases}")
         if any(b2 >= b1 for b1, b2 in zip(self.biases, self.biases[1:])):
             raise ValueError(f"biases must be strictly decreasing, got {self.biases}")
         if self.items < self.list_size:
             raise ValueError("need at least list_size distinct items")
-        if not (np.isfinite(self.noise) and self.noise >= 0):
+        if not (finite_real(self.noise) and self.noise >= 0):
             raise ValueError(f"noise must be finite and non-negative, got {self.noise}")
 
 
@@ -434,8 +439,7 @@ def split_fractions(fractions: Sequence[float]) -> list[float]:
     """The train/valid/test fractions as floats; raises ValueError naming
     ``split`` unless they are three finite, non-negative numbers summing to 1."""
     if (len(fractions) != 3
-            or not all(isinstance(f, Real) and not isinstance(f, bool) and math.isfinite(f)
-                       and f >= 0 for f in fractions)
+            or not all(finite_real(f) and f >= 0 for f in fractions)
             or abs(sum(float(f) for f in fractions) - 1.0) > 1e-9):
         raise ValueError("split must be 3 finite, non-negative numbers summing to 1 "
                          f"(train, valid, test), got {list(fractions)}")

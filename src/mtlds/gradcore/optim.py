@@ -1,4 +1,4 @@
-"""Adam optimizer over lists of parameter arrays."""
+"""Adam optimizer over named parameter arrays."""
 
 from __future__ import annotations
 
@@ -14,45 +14,37 @@ EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the shared timestep."""
+    """First/second moment estimates, keyed as the parameters, plus the shared timestep."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        return cls(m={n: np.zeros_like(p) for n, p in params.items()},
+                   v={n: np.zeros_like(p) for n, p in params.items()})
 
 
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> list[np.ndarray]:
-    """One bias-corrected Adam update with moment decays ``BETAS`` and
-    denominator offset ``EPS``; returns new parameter arrays.
-
-    ``state`` is advanced in place.  Params and grads must align in count and
-    shape.
-    """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatchError(
-            f"adam_step: {len(params)} params, {len(grads)} grads, {len(state.m)} moments")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"adam_step: param shape {p.shape} vs grad shape {g.shape}")
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+              state: AdamState, lr: float) -> dict[str, np.ndarray]:
+    """One bias-corrected Adam update with moment decays ``BETAS`` and denominator
+    offset ``EPS``: new arrays under the names of ``params``, in its order.  It
+    advances ``state`` in place and writes no array it is given.  Grads and
+    moments must have the names and shapes of the params."""
+    shapes = [{n: a.shape for n, a in d.items()} for d in (params, grads, state.m)]
+    if not shapes[0] == shapes[1] == shapes[2]:
+        raise ShapeMismatchError(f"adam_step: param, grad and moment shapes differ: {shapes}")
 
     b1, b2 = BETAS
     state.step += 1
     t = state.step
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / (1.0 - b1 ** t)
-        v_hat = state.v[i] / (1.0 - b2 ** t)
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + EPS))
+    out = {}
+    for n, p in params.items():
+        g = grads[n]
+        state.m[n] = b1 * state.m[n] + (1.0 - b1) * g
+        state.v[n] = b2 * state.v[n] + (1.0 - b2) * (g * g)
+        m_hat = state.m[n] / (1.0 - b1 ** t)
+        v_hat = state.v[n] / (1.0 - b2 ** t)
+        out[n] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return out

@@ -27,6 +27,7 @@ from .sortops import (
     check_lengths,
     check_tau,
     column_inputs,
+    finite_real,
     listnet_loss,
     ranknet_loss,
     soft_sort,
@@ -100,9 +101,9 @@ class ModelConfig:
             raise ValueError(
                 f"unknown aggregator {self.aggregator!r}; choose from {AGGREGATOR_KINDS}")
         check_tau(self.tau)
-        if not (np.isfinite(self.sort_loss_weight) and self.sort_loss_weight >= 0):
+        if not (finite_real(self.sort_loss_weight) and self.sort_loss_weight >= 0):
             raise ValueError(f"sort_loss_weight must be finite and >= 0, got {self.sort_loss_weight}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (finite_real(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         require_int("epochs", self.epochs, 0)
         require_int("seed", self.seed, 0)
@@ -174,6 +175,8 @@ class SharedBottomModel:
                             "none": ()}[rule.task_terms]
         self.rule = rule
         self.aggregator = config.aggregator if rule.towers is None else "mul"
+        if not (schema.cat_fields or schema.dense_count):
+            raise ValueError("empty model input: the schema has no user or item field and dense=0")
         self.params: dict[str, np.ndarray] = {}
         self._init_params()
 
@@ -405,12 +408,10 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
         raise UndefinedMetricError(
             f"validation AUC undefined: {positives} of {final.size} final labels positive")
     model = SharedBottomModel(train.schema, config)
-    names = list(model.params)
-    state = AdamState.for_params([model.params[n] for n in names])
+    state = AdamState.for_params(model.params)
     report = TrainReport(model_kind=config.kind, seed=config.seed)
-    best_ndcg = -np.inf
-    best_params = {n: a.copy() for n, a in model.params.items()}
-    best_epoch = 0
+    # adam_step writes no array it is given, so a reference keeps the best epoch
+    best_ndcg, best_params = -np.inf, model.params
 
     # a diverging step overflows in numpy before the checks below see it;
     # they report it, so numpy's warnings would only repeat it
@@ -427,16 +428,12 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
                     raise DivergenceError(
                         f"loss became non-finite at epoch {epoch}, batch {b_idx}")
                 grads_map = graph.backward(loss)
-                grads = [grads_map.get(pt[n].node_id, np.zeros_like(model.params[n]))
-                         for n in names]
-                for n, g in zip(names, grads):
+                grads = {n: grads_map.get(t.node_id, np.zeros_like(t.value)) for n, t in pt.items()}
+                for n, g in grads.items():
                     if not np.isfinite(g).all():
                         raise DivergenceError(
                             f"gradient of {n!r} became non-finite at epoch {epoch}, batch {b_idx}")
-                updated = adam_step([model.params[n] for n in names], grads, state,
-                                    lr=config.learning_rate)
-                for n, arr in zip(names, updated):
-                    model.params[n] = arr
+                model.params = adam_step(model.params, grads, state, lr=config.learning_rate)
                 batch_losses.append(value)
 
             metrics = evaluate_model(model, valid, cutoffs=(VALIDATION_CUTOFF,))
@@ -448,12 +445,9 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
                 valid_ndcg=ndcg,
             ))
             if ndcg > best_ndcg:
-                best_ndcg = ndcg
-                best_params = {n: a.copy() for n, a in model.params.items()}
-                best_epoch = epoch
+                best_ndcg, best_params, report.best_epoch = ndcg, model.params, epoch
 
     model.params = best_params
-    report.best_epoch = best_epoch
     return model, report
 
 

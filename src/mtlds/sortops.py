@@ -7,6 +7,8 @@ else in the package inherits that convention.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -41,9 +43,14 @@ def perm_matrix(order: Sequence[int] | np.ndarray) -> np.ndarray:
     return m
 
 
+def finite_real(x) -> bool:
+    """The rule of every real-valued config field: a finite real number, not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def check_tau(tau: float) -> None:
-    """The SoftSort temperature rule: ``tau`` is finite and positive."""
-    if not (np.isfinite(tau) and tau > 0):
+    """The SoftSort temperature rule: ``tau`` is a finite positive number."""
+    if not (finite_real(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
 

@@ -1,0 +1,68 @@
+"""The summary arithmetic of ``tools/bench_pairs.py`` on canned result lines
+(no benchmark runs)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "train_impressions_per_s", "better": "higher", "bound": 0.25},
+           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def line(side, seed, train, rss, correct=True, failed=0):
+    return json.dumps({"side": side, "workload": "synth-esmm", "seed": seed, "exit": 0,
+                       "result": {"correct": correct, "attempted": 9, "failed": failed,
+                                  "metrics": {"train_impressions_per_s": {"value": train},
+                                              "peak_rss_mb": {"value": rss}}}})
+
+
+# parent train 100, 110, 120, 130, 140; change wins 3 pairs on train, 4 on rss
+CANNED = [line("parent", 1, 100.0, 70.0), line("change", 1, 105.0, 69.0),
+          line("change", 2, 100.0, 71.0), line("parent", 2, 110.0, 70.0),
+          line("parent", 3, 120.0, 72.0), line("change", 3, 125.0, 71.5),
+          line("change", 4, 150.0, 70.5), line("parent", 4, 130.0, 71.0),
+          line("parent", 5, 140.0, 73.0), line("change", 5, 130.0, 72.0)]
+
+
+def test_medians_spread_and_pairs_won():
+    records = [json.loads(s) for s in CANNED]
+    train, rss = bench_pairs.summarize(records, METRICS)
+    assert train["parent_median"] == 120.0 and train["change_median"] == 125.0
+    assert train["parent_spread"] == pytest.approx(130.0 - 110.0)
+    assert train["won"] == 3 and train["pairs"] == 5
+    assert train["worse_by"] == pytest.approx(-5.0 / 120.0)
+    assert rss["parent_median"] == 71.0 and rss["change_median"] == 71.0
+    assert rss["parent_spread"] == pytest.approx(72.0 - 70.0)
+    assert rss["won"] == 4 and rss["worse_by"] == 0.0
+
+
+def test_worse_median_is_flagged_against_its_bound():
+    records = [json.loads(line("parent", 1, 100.0, 70.0)),
+               json.loads(line("change", 1, 70.0, 80.0))]
+    train, rss = bench_pairs.summarize(records, METRICS)
+    assert train["worse_by"] == pytest.approx(0.3) and train["won"] == 0
+    assert rss["worse_by"] == pytest.approx(10.0 / 70.0)
+    assert train["parent_spread"] == 0.0
+    table = bench_pairs.format_rows([train, rss])
+    assert all(row.endswith("OVER BOUND") for row in table[1:])
+
+
+def test_runs_that_failed_are_faults():
+    records = [json.loads(s) for s in CANNED]
+    assert bench_pairs.faults(records) == []
+    records += [json.loads(line("change", 6, 1.0, 1.0, correct=False)),
+                json.loads(line("parent", 6, 1.0, 1.0, failed=2)),
+                {"side": "parent", "workload": "synth-esmm", "seed": 7, "exit": 2,
+                 "result": None}]
+    assert bench_pairs.faults(records) == [
+        "change seed 6: exit 0, correct=False, failed=0",
+        "parent seed 6: exit 0, correct=True, failed=2",
+        "parent seed 7: exit 2, correct=None, failed=None",
+    ]

@@ -363,6 +363,18 @@ class TestConfigHandling:
         assert result.exit_code == 2
         assert "line 1" in result.output
 
+    def test_schema_without_input_feature_exits_2(self, tmp_path):
+        data_path = tmp_path / "data.tsv"
+        data_path.write_text("!schema\tuser=\titem=\tdense=0\ttasks=click,buy\n"
+                             + "".join(f"imp{i}\t\t\t\t{i % 2},0\n" for i in range(10)),
+                             encoding="utf-8")
+        config = write_config(tmp_path, data={"path": str(data_path)})
+        result = runner.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert result.output == ("error: empty model input: the schema has no user or item "
+                                 "field and dense=0\n")
+        assert not (tmp_path / "runs").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         config = write_config(tmp_path, optimizer="sgd")
         result = runner.invoke(main, ["train", "--config", str(config)])
@@ -403,11 +415,21 @@ class TestConfigHandling:
         ({"gain": 5}, "gain must be 'depth' or 'final'"),
         ({"rank_by": 5}, "rank_by must be 'aggregate' or 'task:<name>'"),
         ({"data": {"path": 5}}, "data.path must be a string, got 5"),
+        ({"cutoffs": 5}, "bad config value: cutoffs must be a list, got 5"),
+        ({"seeds": 5}, "bad config value: seeds must be a list, got 5"),
+        ({"split": 5}, "bad config value: split must be a list, got 5"),
+        ({"model": {"shared_layers": 64}}, "bad model section: shared_layers must be a list, got 64"),
+        ({"data": {"synth": {"biases": -1}}},
+         "bad data.synth section: biases must be a list, got -1"),
+        ({"data": {"synth": {"tasks": "ab", "biases": [-1, -2]}}},
+         "bad data.synth section: tasks must be a list, got 'ab'"),
     ], ids=["repeated-seeds", "tau-nan", "tau-inf", "lr-nan", "lr-zero", "esmm-aggregator",
             "mtlds-aggregator", "gain", "rank-by", "weight-nan", "weight-inf", "weight-negative",
             "split-nan", "split-inf", "split-string", "split-negative", "esmm-three-tasks",
             "task-loss-length", "synth-list", "synth-tasks-number", "synth-biases-number",
-            "model-seed", "gain-number", "rank-by-number", "data-path-number"])
+            "model-seed", "gain-number", "rank-by-number", "data-path-number", "cutoffs-scalar",
+            "seeds-scalar", "split-scalar", "shared-layers-scalar", "synth-biases-scalar",
+            "synth-tasks-string"])
     def test_bad_config_value_exits_2(self, tmp_path, overrides, message):
         config = write_config(tmp_path, **overrides)
         result = runner.invoke(main, ["train", "--config", str(config)])
@@ -449,9 +471,18 @@ class TestConfigHandling:
         ("top", "cutoffs", [2.7], "cutoffs[0] must be an integer >= 1, got 2.7"),
         ("top", "seeds", [1, 2.5], "seeds[1] must be an integer >= 0, got 2.5"),
         ("top", "seeds", [-1], "seeds[0] must be an integer >= 0, got -1"),
+        ("model", "tau", "soft", "tau must be positive and finite, got soft"),
+        ("model", "tau", True, "tau must be positive and finite, got True"),
+        ("model", "learning_rate", "fast", "learning_rate must be positive and finite, got fast"),
+        ("model", "learning_rate", True, "learning_rate must be positive and finite, got True"),
+        ("model", "sort_loss_weight", "one", "sort_loss_weight must be finite and >= 0, got one"),
+        ("synth", "noise", "low", "noise must be finite and non-negative, got low"),
+        ("synth", "biases", ["high", -1.5], "biases must be finite, got ('high', -1.5)"),
     ], ids=["epochs-float", "epochs-bool", "embedding-float", "embedding-zero",
             "shared-width-float", "tower-width-zero", "users", "list-size", "impressions",
-            "synth-seed", "noise-nan", "bias-nan", "cutoff-float", "seed-float", "seed-negative"])
+            "synth-seed", "noise-nan", "bias-nan", "cutoff-float", "seed-float", "seed-negative",
+            "tau-string", "tau-bool", "lr-string", "lr-bool", "weight-string", "noise-string",
+            "bias-string"])
     def test_non_integer_or_non_finite_value_exits_2_naming_the_field(
             self, tmp_path, section, key, value, message):
         cfg = yaml.safe_load(write_config(tmp_path).read_text(encoding="utf-8"))

@@ -269,35 +269,56 @@ class TestFusedOpsCheckTheirLayout:
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        p = [np.array([[1.0, 2.0]])]
+        p = {"w": np.array([[1.0, 2.0]])}
         state = AdamState.for_params(p)
-        out = adam_step(p, [np.zeros((1, 2))], state, lr=0.1)
-        npt.assert_allclose(out[0], p[0])
+        out = adam_step(p, {"w": np.zeros((1, 2))}, state, lr=0.1)
+        npt.assert_allclose(out["w"], p["w"])
         assert state.step == 1
 
     def test_first_step_moves_by_lr_sign(self):
         # at t=1: m_hat = g, v_hat = g^2, update = lr * g / (|g| + eps)
-        p = [np.array([[1.0]])]
-        g = [np.array([[4.0]])]
+        p = {"w": np.array([[1.0]])}
+        g = {"w": np.array([[4.0]])}
         state = AdamState.for_params(p)
         out = adam_step(p, g, state, lr=0.1)
-        npt.assert_allclose(out[0], [[1.0 - 0.1 * 4.0 / (4.0 + 1e-8)]])
+        npt.assert_allclose(out["w"], [[1.0 - 0.1 * 4.0 / (4.0 + 1e-8)]])
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(5)
         p0 = rng.standard_normal((2, 2))
         results = []
         for _ in range(2):
-            p = [p0.copy()]
+            p = {"w": p0.copy()}
             state = AdamState.for_params(p)
             rng2 = np.random.default_rng(99)
             for _ in range(10):
-                p = adam_step(p, [rng2.standard_normal((2, 2))], state, lr=0.01)
-            results.append(p[0])
+                p = adam_step(p, {"w": rng2.standard_normal((2, 2))}, state, lr=0.01)
+            results.append(p["w"])
         assert np.array_equal(results[0], results[1])
 
     def test_shape_mismatch(self):
-        p = [np.zeros((2, 2))]
+        p = {"w": np.zeros((2, 2))}
         state = AdamState.for_params(p)
         with pytest.raises(ShapeMismatchError):
-            adam_step(p, [np.zeros((2, 3))], state, lr=0.1)
+            adam_step(p, {"w": np.zeros((2, 3))}, state, lr=0.1)
+
+    def test_name_mismatch(self):
+        p = {"w": np.zeros((2, 2))}
+        state = AdamState.for_params(p)
+        with pytest.raises(ShapeMismatchError, match="shapes differ"):
+            adam_step(p, {"b": np.zeros((2, 2))}, state, lr=0.1)
+        with pytest.raises(ShapeMismatchError, match="shapes differ"):
+            adam_step({**p, "b": np.zeros((1, 1))}, {**p, "b": np.zeros((1, 1))}, state, lr=0.1)
+
+    def test_writes_no_input_array(self):
+        """fit keeps its best epoch's parameters by reference, so a step must
+        leave every array it is given bit-identical, moments included."""
+        rng = np.random.default_rng(3)
+        p = {"w": rng.standard_normal((3, 2)), "b": rng.standard_normal((2, 1))}
+        g = {n: rng.standard_normal(a.shape) for n, a in p.items()}
+        state = AdamState(m={n: rng.standard_normal(a.shape) for n, a in p.items()},
+                          v={n: rng.random(a.shape) for n, a in p.items()}, step=4)
+        given = [(a, a.tobytes()) for d in (p, g, state.m, state.v) for a in d.values()]
+        out = adam_step(p, g, state, lr=0.1)
+        assert list(out) == ["w", "b"]
+        assert all(a.tobytes() == bits for a, bits in given)

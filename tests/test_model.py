@@ -15,11 +15,12 @@ import mtlds.model as model_mod
 from mtlds.aggregate import LabelSequence, label_gain
 from mtlds.data import (Dataset, FieldSpec, Impression, Sample, Schema, SynthConfig, split,
                         synthesize)
-from mtlds.evaluation import UndefinedMetricError, evaluate_ranking
+from mtlds.evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
 from mtlds.gradcore import Graph, corrupted_vjp
 from mtlds.model import (
     KIND_RULES,
     MODEL_KINDS,
+    VALIDATION_CUTOFF,
     KindRule,
     DivergenceError,
     ModelConfig,
@@ -600,6 +601,24 @@ class TestFit:
         monkeypatch.setattr(model_mod, "adam_step", no_step)
         with pytest.raises(ValueError, match=message):
             fit(config, train, va)
+
+    def test_returns_the_best_epochs_parameters(self, datasets, monkeypatch):
+        tr, va, _ = datasets
+
+        def fit_under(ndcgs):
+            """fit with the validation NDCG of epoch e patched to ``ndcgs[e - 1]``."""
+            scores = iter(ndcgs)
+            monkeypatch.setattr(model_mod, "evaluate_model", lambda *args, **kwargs: MetricReport(
+                auc=0.5, ndcg_at={VALIDATION_CUTOFF: next(scores)}, impressions=len(va.impressions)))
+            return fit(small_config(epochs=len(ndcgs), batch_size=8), tr, va)
+
+        best, report = fit_under([0.2, 0.9, 0.4])
+        two_epochs, _ = fit_under([0.2, 0.9])
+        last, _ = fit_under([0.2, 0.4, 0.9])
+        assert report.best_epoch == 2
+        assert list(best.params) == list(two_epochs.params)
+        assert all(np.array_equal(best.params[n], two_epochs.params[n]) for n in best.params)
+        assert not np.array_equal(best.params["agg/w"], last.params["agg/w"])
 
     def test_training_reduces_loss(self, datasets):
         tr, va, _ = datasets
