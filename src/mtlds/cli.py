@@ -141,7 +141,10 @@ def experiment_hash(cfg: ExperimentConfig) -> str:
 def _load_source(cfg: ExperimentConfig) -> Dataset:
     if cfg.synth is not None:
         return synthesize(cfg.synth)
-    return load_dataset(cfg.dataset_path)
+    try:
+        return load_dataset(cfg.dataset_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {cfg.dataset_path}: {exc}") from exc
 
 
 def _resolve_out_dir(cfg: ExperimentConfig, flag_value: str | None) -> Path:
@@ -241,6 +244,10 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
     except (ConfigError, DatasetFormatError, ValueError) as exc:
         _fail(str(exc), 2)
     out_dir = _resolve_out_dir(cfg, out_flag)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(f"cannot write {out_dir}: {exc}", 2)
     tests: dict[int, dict] = {}
     try:
         for seed in cfg.seeds:

@@ -38,6 +38,16 @@ class DatasetFormatError(ValueError):
     """A dataset file does not conform to the documented format."""
 
 
+def check_task_names(tasks: Sequence) -> None:
+    """Raise ValueError unless ``tasks`` are distinct, non-empty strings that
+    a file header can carry: none holds ``,``, a tab, CR or LF."""
+    if not all(isinstance(t, str) and t and not any(c in t for c in ",\t\r\n") for t in tasks):
+        raise ValueError("task names must be non-empty strings without ',', tab, CR or LF, "
+                         f"got {list(tasks)}")
+    if len(set(tasks)) != len(tasks):
+        raise ValueError(f"task names must be distinct, got {list(tasks)}")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     name: str
@@ -62,10 +72,7 @@ class Schema:
                 raise ValueError(f"field {f.name!r}: cardinality must be >= 1, got {f.cardinality}")
         if self.dense_count < 0:
             raise ValueError(f"dense count must be >= 0, got {self.dense_count}")
-        if not all(self.tasks):
-            raise ValueError(f"task names must be non-empty, got {list(self.tasks)}")
-        if len(set(self.tasks)) != len(self.tasks):
-            raise ValueError(f"task names must be distinct, got {list(self.tasks)}")
+        check_task_names(self.tasks)
 
     @property
     def task_count(self) -> int:
@@ -369,6 +376,7 @@ class SynthConfig:
         require_int("seed", self.seed, 0)
         if len(self.tasks) < 2:
             raise ValueError("need at least 2 tasks (click plus one post-click behavior)")
+        check_task_names(self.tasks)
         if len(self.biases) != len(self.tasks):
             raise ValueError(f"{len(self.biases)} biases for {len(self.tasks)} tasks")
         if not all(finite_real(b) for b in self.biases):

@@ -2,8 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The directional
 benchmarks (criteria 7-9) train real models on the default synthetic dataset
-and dominate the runtime (roughly 10-15 minutes on a laptop CPU); they carry
-the ``slow`` marker, so ``pytest -m "not slow"`` skips them.
+and dominate the runtime: 208 s under ``pytest -m slow --durations=0`` on a
+2-vCPU VM (Python 3.11.7, numpy 2.4.6, one BLAS thread), of which criterion 7
+took 82 s, criterion 9 80 s and criterion 8 44 s.  They carry the ``slow``
+marker, so ``pytest -m "not slow"`` skips them.
 """
 
 import itertools

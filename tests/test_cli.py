@@ -423,19 +423,49 @@ class TestConfigHandling:
          "bad data.synth section: biases must be a list, got -1"),
         ({"data": {"synth": {"tasks": "ab", "biases": [-1, -2]}}},
          "bad data.synth section: tasks must be a list, got 'ab'"),
+        ({"data": {"synth": {"tasks": [1, 2]}}},
+         "bad data.synth section: task names must be non-empty strings without ',', tab, "
+         "CR or LF, got [1, 2]"),
+        ({"data": {"synth": {"tasks": ["click,x", "buy"]}}},
+         "bad data.synth section: task names must be non-empty strings without ',', tab, "
+         "CR or LF, got ['click,x', 'buy']"),
     ], ids=["repeated-seeds", "tau-nan", "tau-inf", "lr-nan", "lr-zero", "esmm-aggregator",
             "mtlds-aggregator", "gain", "rank-by", "weight-nan", "weight-inf", "weight-negative",
             "split-nan", "split-inf", "split-string", "split-negative", "esmm-three-tasks",
             "task-loss-length", "synth-list", "synth-tasks-number", "synth-biases-number",
             "model-seed", "gain-number", "rank-by-number", "data-path-number", "cutoffs-scalar",
             "seeds-scalar", "split-scalar", "shared-layers-scalar", "synth-biases-scalar",
-            "synth-tasks-string"])
+            "synth-tasks-string", "synth-task-numbers", "synth-task-comma"])
     def test_bad_config_value_exits_2(self, tmp_path, overrides, message):
         config = write_config(tmp_path, **overrides)
         result = runner.invoke(main, ["train", "--config", str(config)])
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_data_path_exits_2(self, tmp_path, kind):
+        data_path = tmp_path / "data.tsv"
+        if kind == "directory":
+            data_path.mkdir()
+        config = write_config(tmp_path, data={"path": str(data_path)})
+        result = runner.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: cannot read {data_path}: ")
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
+    def test_out_dir_below_a_file_exits_2_before_the_first_fit(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        fits = []
+        monkeypatch.setattr(cli_mod, "fit", lambda *args: fits.append(args))
+        config = write_config(tmp_path, out_dir=str(blocker / "runs"))
+        result = runner.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: cannot write {blocker / 'runs'}: ")
+        assert result.output.count("\n") == 1
+        assert fits == []
 
     def test_non_string_out_dir_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+import record
 
 import mtlds.gradcore.tensor as tensor_mod
 import mtlds.model as model_mod
@@ -175,165 +176,24 @@ class TestTotalLoss:
         assert np.any(np.abs(agg_grad) > 1e-8)
 
 
-# Two impressions of different lengths, so the per-impression means and the
-# mean over impressions both matter.
-PIN_BATCH = [
-    make_impression("a", [(1, 1), (0, 0), (1, 0), (0, 0), (1, 1)], dense=1, seed=11),
-    make_impression("b", [(1, 0), (0, 0), (1, 1)], dense=1, seed=12),
-]
-PIN_CONFIGS = {kind: {"kind": kind} for kind in MODEL_KINDS}
-PIN_CONFIGS["mtlds-bce-ranknet"] = {"kind": "mtlds", "task_loss": ("bce", "ranknet")}
-
-# batch_loss on PIN_BATCH and the sum of each parameter's gradient, recorded
-# before the per-kind loss methods were merged into batch_loss.  A loss
-# refactor must reproduce them.
-PINNED = {
-    "mtlds": (6.912191914170256, {
-        "emb/user_id": -0.057001167958990934,
-        "emb/item_id": 0.9906932453544148,
-        "shared/0/W": -0.3165613138894401,
-        "shared/0/b": 0.4315244474901544,
-        "tower/0/0/W": -0.8478510878132479,
-        "tower/0/0/b": 0.11055390681122568,
-        "tower/0/1/W": -0.25219511124866684,
-        "tower/0/1/b": 0.08416332486944503,
-        "tower/1/0/W": 0.25214759523009445,
-        "tower/1/0/b": 0.05902817276558827,
-        "tower/1/1/W": -0.48868710882176797,
-        "tower/1/1/b": 0.006419264845668127,
-        "agg/w": -0.17831228594227064,
-    }),
-    "mtl_listnet": (2.7503620624842813, {
-        "emb/user_id": -0.09877446581186232,
-        "emb/item_id": 0.21398300460124745,
-        "shared/0/W": -0.01234741700471293,
-        "shared/0/b": 0.07628555684528,
-        "tower/0/0/W": -0.16565219577729268,
-        "tower/0/0/b": -0.04992384022730888,
-        "tower/0/1/W": -0.012038762688157035,
-        "tower/0/1/b": -0.0005850398342620855,
-        "tower/1/0/W": 0.03647239508174823,
-        "tower/1/0/b": 0.0030769620065168573,
-        "tower/1/1/W": -0.062254547268666166,
-        "tower/1/1/b": 0.0011812793076981798,
-        "agg/w": 0.004258210361157155,
-    }),
-    "esmm": (1.3417781671788198, {
-        "emb/user_id": -0.22935294908718362,
-        "emb/item_id": 0.38636176806333117,
-        "shared/0/W": 0.05450944618533861,
-        "shared/0/b": 0.1285450652178878,
-        "tower/0/0/W": -0.35388953050362254,
-        "tower/0/0/b": -0.14265746417917308,
-        "tower/0/1/W": -0.04280795952450926,
-        "tower/0/1/b": -0.07120341009183898,
-        "tower/1/0/W": 0.04886084276370894,
-        "tower/1/0/b": 0.015411654333525787,
-        "tower/1/1/W": -0.10161955443807436,
-        "tower/1/1/b": -0.06728885453995088,
-    }),
-    "esmm_pairwise": (1.3867507532637664, {
-        "emb/user_id": -0.08751211961360886,
-        "emb/item_id": 0.19667342084137962,
-        "shared/0/W": 0.02609642792274329,
-        "shared/0/b": 0.06422475596468413,
-        "tower/0/0/W": -0.13685359811274606,
-        "tower/0/0/b": -0.04022193160054037,
-        "tower/0/1/W": -0.011203688293402117,
-        "tower/0/1/b": 0.002152177228347034,
-        "tower/1/0/W": 0.014234766300696297,
-        "tower/1/0/b": 0.0013201101203398772,
-        "tower/1/1/W": -0.026578432360367762,
-        "tower/1/1/b": -0.0021540469456032482,
-    }),
-    "dnn_pointwise": (0.758901073673987, {
-        "emb/user_id": -0.13465692677525445,
-        "emb/item_id": 0.6347965490801214,
-        "shared/0/W": 0.1737566525892291,
-        "shared/0/b": 0.3392514326444078,
-        "tower/0/0/W": 0.15314871531377378,
-        "tower/0/0/b": 0.21927831273234105,
-        "tower/0/1/W": 0.15272677612155558,
-        "tower/0/1/b": 0.23504776187963228,
-    }),
-    "dnn_pairwise": (0.6886615402939845, {
-        "emb/user_id": -0.0591425102346294,
-        "emb/item_id": 0.13431794177627895,
-        "shared/0/W": 0.0317825525284465,
-        "shared/0/b": 0.04493791629027013,
-        "tower/0/0/W": -0.08411637352165116,
-        "tower/0/0/b": -0.021074313328741674,
-        "tower/0/1/W": -0.005817882961735614,
-        "tower/0/1/b": 0.0009492986144217092,
-    }),
-    "dnn_diffsort": (5.437518920407342, {
-        "emb/user_id": -0.23208470035830497,
-        "emb/item_id": 1.0589659683056807,
-        "shared/0/W": -0.25450644664827315,
-        "shared/0/b": 0.39790367718642816,
-        "tower/0/0/W": -0.7193036111755998,
-        "tower/0/0/b": 0.15072594260673242,
-        "tower/0/1/W": -0.22759048627569245,
-        "tower/0/1/b": 0.08376141329676492,
-    }),
-    "mtlds-bce-ranknet": (6.884950165802277, {
-        "emb/user_id": -0.1447910045108412,
-        "emb/item_id": 1.1274368329797533,
-        "shared/0/W": -0.2609825214773449,
-        "shared/0/b": 0.4603312092177647,
-        "tower/0/0/W": -0.9483619716993592,
-        "tower/0/0/b": 0.05729945244778237,
-        "tower/0/1/W": -0.257205705418617,
-        "tower/0/1/b": 0.05438417279600988,
-        "tower/1/0/W": 0.25214759523009445,
-        "tower/1/0/b": 0.05902817276558827,
-        "tower/1/1/W": -0.48868710882176797,
-        "tower/1/1/b": 0.006419264845668127,
-        "agg/w": -0.17831228594227064,
-    }),
-}
-
-
-@pytest.mark.parametrize("case", list(PINNED))
+@pytest.mark.parametrize("case", list(record.PIN_CONFIGS))
 def test_batch_loss_and_gradients_match_pinned_values(case):
-    model = SharedBottomModel(tiny_schema(dense=1), small_config(**PIN_CONFIGS[case]))
-    g = Graph()
-    pt = model.bind(g)
-    loss = model.batch_loss(g, PIN_BATCH, pt)
-    grads = g.backward(loss)
-    expected_loss, expected_sums = PINNED[case]
-    npt.assert_allclose(loss.item(), expected_loss, rtol=1e-12, atol=0)
-    assert list(expected_sums) == list(model.params)
-    for name, expected in expected_sums.items():
-        npt.assert_allclose(grads[pt[name].node_id].sum(), expected, rtol=1e-12, atol=0,
-                            err_msg=name)
+    """``batch_loss`` on ``record.PIN_BATCH`` and the sum of each parameter's
+    gradient equal, bit for bit, the values in ``fixtures/pinned.json``, first
+    recorded before the per-kind loss methods were merged into
+    ``batch_loss``.  Re-record (only when the loss arithmetic changes on
+    purpose): ``python tools/record.py``."""
+    recorded = record.recorded("pinned.json", f"{case}/")
+    assert record.changes(recorded, record.pinned_values(case)) == []
 
 
-# ranking_scores on PIN_BATCH, recorded in fixtures/scores.npz; a scoring
-# refactor must reproduce every value bit for bit.  Re-record (only when the
-# score arithmetic changes on purpose):  PYTHONPATH=src python tests/test_model.py
-SCORES_FIXTURE = Path(__file__).parent / "fixtures" / "scores.npz"
-SCORE_CONFIGS = dict(PIN_CONFIGS)
-SCORE_CONFIGS.update({f"mtlds-{op}": {"kind": "mtlds", "aggregator": op}
-                      for op in ("mul", "max", "add")})
-RANK_BYS = ("aggregate", "task:purchase")
-
-
-def ranking_score_arrays(case: str) -> dict[str, np.ndarray]:
-    """Per-impression scores of ``case`` under each of ``RANK_BYS``, keyed for the fixture."""
-    model = SharedBottomModel(tiny_schema(dense=1), small_config(**SCORE_CONFIGS[case]))
-    return {f"{case}/{rank_by}/{i}": scores
-            for rank_by in RANK_BYS
-            for i, scores in enumerate(model.ranking_scores(PIN_BATCH, rank_by=rank_by))}
-
-
-@pytest.mark.parametrize("case", list(SCORE_CONFIGS))
+@pytest.mark.parametrize("case", list(record.SCORE_CONFIGS))
 def test_ranking_scores_match_recording(case):
-    recorded = np.load(SCORES_FIXTURE)
-    current = ranking_score_arrays(case)
-    assert set(current) == {k for k in recorded.files if k.startswith(f"{case}/")}
-    for key, value in current.items():
-        assert np.array_equal(value, recorded[key]), f"{key} differs from the recording"
+    """``ranking_scores`` on ``record.PIN_BATCH`` equal, bit for bit, the
+    arrays in ``fixtures/scores.npz``.  Re-record (only when the score
+    arithmetic changes on purpose): ``python tools/record.py``."""
+    recorded = record.recorded("scores.npz", f"{case}/")
+    assert record.changes(recorded, record.score_arrays(case)) == []
 
 
 class TestTapeSize:
@@ -930,10 +790,3 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="tau"):
             ModelConfig(tau=-1.0)
 
-
-if __name__ == "__main__":
-    arrays = {}
-    for case in SCORE_CONFIGS:
-        arrays.update(ranking_score_arrays(case))
-    np.savez(SCORES_FIXTURE, **arrays)
-    print(f"wrote {len(arrays)} arrays to {SCORES_FIXTURE}")
