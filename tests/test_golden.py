@@ -1,6 +1,6 @@
 """End-to-end byte identity: ``mtlds train --seed 1`` on a tiny synthetic
-config (``record.golden_config``) writes exactly the recorded ``report.json``
-and ``aggregate.json``.
+config (``record.golden_config``) writes exactly the recorded ``report.json``,
+``aggregate.json`` and ``summary.txt``.
 
 A refactor that keeps the training arithmetic keeps these bytes; a change
 that alters them on purpose re-records the files under

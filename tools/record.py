@@ -10,7 +10,7 @@ changed (the old and the new value, and the largest absolute and relative
 change), the keys added and the keys removed, and then writes the files over
 the committed ones.  A key of an ``.npz`` file is an array name; a key of a
 ``.json`` file is the path of one of its values, the object keys and list
-positions joined by ``/``.
+positions joined by ``/``; a key of a ``.txt`` file is a line number.
 
 Re-record only when the arithmetic changes on purpose, and say in the change
 which values moved.  The recording tests compare through ``changes``, so a
@@ -162,7 +162,7 @@ def score_arrays(case: str) -> dict[str, np.ndarray]:
 # -------------------------------------- golden_train: mtlds train, end to end
 
 GOLDEN_KINDS = ("mtlds", "esmm")
-GOLDEN_FILES = ("seed1/report.json", "aggregate.json")
+GOLDEN_FILES = ("seed1/report.json", "aggregate.json", "summary.txt")
 
 
 def golden_config(kind: str) -> dict:
@@ -218,10 +218,13 @@ def flatten(node, prefix: str = "") -> dict:
 
 
 def values(name: str, data: bytes) -> dict:
-    """The keyed values held in ``data``, the bytes of recording ``name``."""
+    """The keyed values held in ``data``, the bytes of recording ``name``; a
+    ``.txt`` recording is keyed by line number, from 1."""
     if name.endswith(".npz"):
         with np.load(io.BytesIO(data)) as npz:
             return {key: npz[key] for key in npz.files}
+    if name.endswith(".txt"):
+        return {str(i): line for i, line in enumerate(data.decode("utf-8").splitlines(), 1)}
     return flatten(json.loads(data))
 
 
