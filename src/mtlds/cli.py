@@ -29,13 +29,13 @@ from .data import (
     atomic_open,
     from_dict,
     load_dataset,
-    require_int,
+    require_distinct_ints,
     split,
     split_fractions,
     synthesize,
     write_dataset,
 )
-from .evaluation import UndefinedMetricError
+from .evaluation import MetricReport, UndefinedMetricError
 from .gradcore import Graph
 from .model import (
     DivergenceError,
@@ -69,16 +69,8 @@ class ExperimentConfig:
         if (self.synth is None) == (self.dataset_path is None):
             raise ConfigError("config must provide exactly one of data.synth / data.path")
         split_fractions(self.split)
-        if not self.seeds:
-            raise ConfigError("seed list is empty")
-        for i, seed in enumerate(self.seeds):
-            require_int(f"seeds[{i}]", seed, 0)
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seed list has repeats: {list(self.seeds)}")
-        if not self.cutoffs:
-            raise ConfigError("cutoff list is empty")
-        for i, k in enumerate(self.cutoffs):
-            require_int(f"cutoffs[{i}]", k, 1)
+        require_distinct_ints("seeds", self.seeds, 0)
+        require_distinct_ints("cutoffs", self.cutoffs, 1)
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if not isinstance(self.dataset_path, (str, type(None))):
@@ -210,11 +202,11 @@ def _single_seed_run(cfg: ExperimentConfig, source: Dataset, seed: int, out_dir:
         "config_hash": experiment_hash(cfg),
         "model_kind": cfg.model.kind,
         "seed": seed,
-        "train": report.as_dict(),
+        "train": asdict(report),
         "test": metrics.as_dict(),
     }
     _write_json(seed_dir / "report.json", payload)
-    return payload["test"]
+    return metrics
 
 
 @main.command("train")
@@ -248,7 +240,7 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _fail(f"cannot write {out_dir}: {exc}", 2)
-    tests: dict[int, dict] = {}
+    tests: dict[int, MetricReport] = {}
     try:
         for seed in cfg.seeds:
             tests[seed] = _single_seed_run(cfg, source, seed, out_dir)
@@ -257,26 +249,22 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
     except UndefinedMetricError as exc:
         _fail(f"metric undefined on this split: {exc}", 1)
 
-    # each seed's metrics keyed as in aggregate.json; a repeated cutoff repeats its key
-    keys = ["auc"] + [f"ndcg@{k}" for k in cfg.cutoffs]
-    rows = [{"auc": t["auc"], **{f"ndcg@{k}": v for k, v in t["ndcg"].items()}}
-            for t in tests.values()]
+    rows = [t.by_name for t in tests.values()]
     aggregate = {
         "config_hash": experiment_hash(cfg),
         "model_kind": cfg.model.kind,
         "seeds": list(cfg.seeds),
-        "per_seed": {str(s): t for s, t in tests.items()},
-        "mean": {k: float(np.mean([r[k] for r in rows])) for k in keys},
+        "per_seed": {str(s): t.as_dict() for s, t in tests.items()},
+        "mean": {k: float(np.mean([r[k] for r in rows])) for k in rows[0]},
         "std": {k: float(np.std([r[k] for r in rows], ddof=1)) if len(rows) > 1 else 0.0
-                for k in keys},
+                for k in rows[0]},
     }
     _write_json(out_dir / "aggregate.json", aggregate)
 
     summary = [f"model={cfg.model.kind} config_hash={aggregate['config_hash']}"]
-    summary += [f"seed {s}: " + " ".join(f"{k}={r[k]:.4f}" for k in keys)
-                for s, r in zip(cfg.seeds, rows)]
-    mean_text = " ".join(f"{k}={aggregate['mean'][k]:.4f}" for k in keys)
-    summary.append(f"mean over {len(cfg.seeds)} seed(s): {mean_text}")
+    for label, row in [*((f"seed {s}", r) for s, r in zip(cfg.seeds, rows)),
+                       (f"mean over {len(cfg.seeds)} seed(s)", aggregate["mean"])]:
+        summary.append(f"{label}: " + " ".join(f"{k}={v:.4f}" for k, v in row.items()))
     _write_text(out_dir / "summary.txt", "\n".join(summary) + "\n")
     for line in summary:
         click.echo(line)
@@ -302,10 +290,9 @@ def cmd_eval(checkpoint_path: str, data_path: str, cutoffs: str, rank_by: str,
     try:
         try:
             ks = tuple(int(k) for k in cutoffs.split(","))
-            if any(k < 1 for k in ks):
-                raise ValueError
         except ValueError:
             raise ConfigError(f"cutoffs must be positive integers, got {cutoffs}") from None
+        require_distinct_ints("cutoffs", ks, 1)
         model = load_checkpoint(checkpoint_path)
         ds = load_dataset(data_path)
         mismatches = _schema_mismatches(model.schema, ds.schema)
@@ -320,9 +307,8 @@ def cmd_eval(checkpoint_path: str, data_path: str, cutoffs: str, rank_by: str,
         metrics = evaluate_model(model, ds, cutoffs=ks, rank_by=rank_by, gain=gain)
     except (UndefinedMetricError, ValueError) as exc:
         _fail(str(exc), 1)
-    click.echo(f"auc={metrics.auc:.6f}")
-    for k in ks:
-        click.echo(f"ndcg@{k}={metrics.ndcg_at[k]:.6f}")
+    for name, value in metrics.by_name.items():
+        click.echo(f"{name}={value:.6f}")
     if out_path:
         _write_json(Path(out_path), metrics.as_dict())
 

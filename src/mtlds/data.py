@@ -340,6 +340,17 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def require_distinct_ints(name: str, values: Sequence, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``values`` is a non-empty list of
+    distinct ``require_int`` integers >= ``minimum``: the rule for seeds and cutoffs."""
+    if not len(values):
+        raise ValueError(f"{name} must not be empty")
+    for i, value in enumerate(values):
+        require_int(f"{name}[{i}]", value, minimum)
+        if value in values[:i]:
+            raise ValueError(f"{name} must be distinct, got {list(values)} ({value!r} repeats)")
+
+
 def from_dict(cls, d):
     """``cls(**d)`` with every list value of the mapping ``d`` made a tuple:
     the one rule that turns a YAML or JSON section into a frozen config.

@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import require_distinct_ints
 from .gradcore.tensor import Layout
 from .sortops import check_lengths, ndcg_position_weights
 
@@ -20,6 +21,12 @@ class MetricReport:
     auc: float
     ndcg_at: dict[int, float]
     impressions: int
+
+    @property
+    def by_name(self) -> dict[str, float]:
+        """Every metric by the name that ``aggregate.json``, ``summary.txt`` and
+        ``mtlds eval`` print: ``auc``, then ``ndcg@<k>`` in cutoff order."""
+        return {"auc": self.auc, **{f"ndcg@{k}": v for k, v in self.ndcg_at.items()}}
 
     def as_dict(self) -> dict:
         return {
@@ -53,9 +60,10 @@ def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def _dcg(gains_in_rank_order: np.ndarray, k: int) -> float:
-    top = gains_in_rank_order[:k]
-    return float(((2.0 ** top - 1.0) * ndcg_position_weights(top.size)).sum())
+def _dcg(g: np.ndarray) -> np.ndarray:
+    """DCG of gains ``g`` in rank order, over the last axis: each ``2^g - 1``
+    times the discount of its position, summed."""
+    return ((2.0 ** g - 1.0) * ndcg_position_weights(g.shape[-1])).sum(axis=-1)
 
 
 def ndcg_at_k(
@@ -80,7 +88,7 @@ def ndcg_at_k(
         raise UndefinedMetricError("NDCG undefined: all gains are zero")
     by_score = np.argsort(-s, kind="stable")
     ideal = np.sort(g)[::-1]
-    return _dcg(g[by_score], k) / _dcg(ideal, k)
+    return float(_dcg(g[by_score][:k]) / _dcg(ideal[:k]))
 
 
 def evaluate_ranking(
@@ -102,9 +110,7 @@ def evaluate_ranking(
     the values are added in impression order, so the means are the bits of a
     loop over ``ndcg_at_k``.
     """
-    for k in cutoffs:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+    require_distinct_ints("cutoffs", cutoffs, 1)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     gains = np.asarray(gains, dtype=np.float64).reshape(-1)
     if np.size(lengths.lengths if isinstance(lengths, Layout) else lengths) == 0:
@@ -118,19 +124,14 @@ def evaluate_ranking(
     ndcg = np.empty((len(cutoffs), lengths.size))
     defined = np.zeros(lengths.size, dtype=bool)
     for rows, cols in blocks:
-        n = cols.shape[1]
         live = np.any(gains[cols] > 0, axis=1)
         rows, cols = rows[live], cols[live]
         defined[rows] = True
         S, G = scores[cols], gains[cols]
         by_score = np.take_along_axis(G, np.argsort(-S, axis=1, kind="stable"), axis=1)
         ideal = np.sort(G, axis=1)[:, ::-1]
-        discounts = ndcg_position_weights(n)
-        dcg = (2.0 ** by_score - 1.0) * discounts
-        ideal_dcg = (2.0 ** ideal - 1.0) * discounts
         for i, k in enumerate(cutoffs):
-            top = min(k, n)
-            ndcg[i, rows] = dcg[:, :top].sum(axis=1) / ideal_dcg[:, :top].sum(axis=1)
+            ndcg[i, rows] = _dcg(by_score[:, :k]) / _dcg(ideal[:, :k])
     ndcg_count = int(defined.sum())
     if ndcg_count == 0:
         raise UndefinedMetricError("NDCG undefined: every impression has all-zero gains")

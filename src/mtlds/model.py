@@ -363,7 +363,8 @@ def evaluate_model(
     """
     ids, dense, labels, lengths = ds.columns
     scores = model.flat_scores(ids, dense, rank_by)
-    return evaluate_ranking(scores, label_gain(labels, gain), labels[:, -1], lengths, cutoffs)
+    return evaluate_ranking(scores, label_gain(labels, gain), label_gain(labels, "final"),
+                            lengths, cutoffs)
 
 
 # ------------------------------------------------------------------- training
@@ -402,7 +403,7 @@ def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBott
     if not train.impressions or not valid.impressions:
         raise ValueError("train and valid datasets must be non-empty")
     columns = train.columns
-    final = valid.columns.labels[:, -1]
+    final = label_gain(valid.columns.labels, "final")
     positives = int(final.sum())
     if positives in (0, final.size):
         raise UndefinedMetricError(

@@ -211,8 +211,14 @@ class TestEval:
         assert result.exit_code == 2, result.output
         assert message in result.output
 
-    @pytest.mark.parametrize("cutoffs", ["0", "-3,2", "a"])
-    def test_non_positive_cutoff_exits_2_before_loading(self, trained, monkeypatch, cutoffs):
+    @pytest.mark.parametrize("cutoffs,message", [
+        ("0", "cutoffs[0] must be an integer >= 1, got 0"),
+        ("-3,2", "cutoffs[0] must be an integer >= 1, got -3"),
+        ("a", "cutoffs must be positive integers, got a"),
+        ("6,6,2", "cutoffs must be distinct, got [6, 6, 2] (6 repeats)"),
+    ], ids=["0", "-3,2", "a", "6,6,2"])
+    def test_non_positive_cutoff_exits_2_before_loading(self, trained, monkeypatch, cutoffs,
+                                                         message):
         ckpt, data_path = trained
 
         def not_reached(path):
@@ -222,7 +228,7 @@ class TestEval:
         result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--data", str(data_path),
                                       "--cutoffs", cutoffs])
         assert result.exit_code == 2, result.output
-        assert "cutoffs must be positive integers" in result.output
+        assert result.output == f"error: {message}\n"
 
     def test_eval_checkpoint_on_written_dataset(self, tmp_path):
         config = write_config(tmp_path)
@@ -387,7 +393,9 @@ class TestConfigHandling:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("overrides,message", [
-        ({"seeds": [1, 1, 2]}, "seed list has repeats"),
+        ({"seeds": [1, 1, 2]}, "bad config value: seeds must be distinct, got [1, 1, 2] (1 repeats)"),
+        ({"cutoffs": [6, 6, 2]},
+         "bad config value: cutoffs must be distinct, got [6, 6, 2] (6 repeats)"),
         ({"model": {"tau": float("nan")}}, "tau must be positive and finite"),
         ({"model": {"tau": float("inf")}}, "tau must be positive and finite"),
         ({"model": {"learning_rate": float("nan")}}, "learning_rate must be positive and finite"),
@@ -429,7 +437,7 @@ class TestConfigHandling:
         ({"data": {"synth": {"tasks": ["click,x", "buy"]}}},
          "bad data.synth section: task names must be non-empty strings without ',', tab, "
          "CR or LF, got ['click,x', 'buy']"),
-    ], ids=["repeated-seeds", "tau-nan", "tau-inf", "lr-nan", "lr-zero", "esmm-aggregator",
+    ], ids=["repeated-seeds", "repeated-cutoffs", "tau-nan", "tau-inf", "lr-nan", "lr-zero", "esmm-aggregator",
             "mtlds-aggregator", "gain", "rank-by", "weight-nan", "weight-inf", "weight-negative",
             "split-nan", "split-inf", "split-string", "split-negative", "esmm-three-tasks",
             "task-loss-length", "synth-list", "synth-tasks-number", "synth-biases-number",

@@ -186,7 +186,8 @@ class TestEvaluateRanking:
         assert repr(built.as_dict()) == repr(raw.as_dict())
 
     @pytest.mark.parametrize("scores,gains,lengths,cutoffs,match", [
-        ([0.5, 0.1], [1, 0], [2], (2, 0), "k must be >= 1"),
+        ([0.5, 0.1], [1, 0], [2], (2, 0), r"cutoffs\[1\] must be an integer >= 1, got 0"),
+        ([0.5, 0.1], [1, 0], [2], (6, 6), r"cutoffs must be distinct, got \[6, 6\] \(6 repeats\)"),
         ([0.5, 0.1], [1, -1], [2], (2,), "gains must be non-negative"),
         ([0.5, 0.1, 0.3, 0.2], [1, 0, 0, -1], [2, 2], (2,), "gains must be non-negative"),
         ([0.5, 0.1, 0.3, 0.2], [1, 0, 1], [2, 2], (2,), "4 scores vs 3 gains"),
@@ -198,7 +199,7 @@ class TestEvaluateRanking:
          r"evaluate_ranking: impression lengths \[2, 2\] .* the column's 3 rows"),
         ([0.5, 0.1], [1, 0], check_lengths(np.array([], dtype=np.intp), 0, "no column"), (2,),
          "no impressions to evaluate"),
-    ], ids=["k-zero", "negative-gain", "negative-gain-in-zero-row", "length-mismatch",
+    ], ids=["k-zero", "repeated-cutoff", "negative-gain", "negative-gain-in-zero-row", "length-mismatch",
             "list-count-mismatch", "lengths-short", "zero-length", "no-lengths", "other-layout",
             "empty-layout"])
     def test_invalid_input_rejected(self, scores, gains, lengths, cutoffs, match):
