@@ -96,10 +96,27 @@ def _section(what: str, cls, d):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a key given twice in one mapping, at any
+    depth; a ``<<`` merge may still supply a key that the mapping sets."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        lines = {}
+        for key_node in keys:
+            key, line = self.construct_object(key_node, deep), key_node.start_mark.line + 1
+            if key in lines:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"key {key!r} given twice, at lines {lines[key]} and {line}")
+            lines[key] = line
+        return mapping
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_ConfigLoader)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -114,11 +114,6 @@ class ModelConfig:
                 require_int(f"{name}[{i}]", width, 1)
 
 
-def config_from_dict(d: dict) -> ModelConfig:
-    """A model config section or checkpoint manifest entry, read by ``from_dict``."""
-    return from_dict(ModelConfig, d)
-
-
 def encode_samples(schema: Schema, impressions: Sequence[Impression]) -> Columns:
     """``Dataset.columns`` of impression objects, built afresh and not kept, for
     callers that hold objects, not a dataset.  It is a module-level name, called
@@ -153,10 +148,12 @@ class SharedBottomModel:
     """Hard parameter sharing: common bottom layers plus one tower per task.
 
     Parameters live as named numpy arrays; each training step registers them
-    as leaf tensors on a fresh graph.
+    as leaf tensors on a fresh graph.  They are drawn from ``config.seed``
+    unless ``params`` gives them, in the model's order and shapes.
     """
 
-    def __init__(self, schema: Schema, config: ModelConfig):
+    def __init__(self, schema: Schema, config: ModelConfig,
+                 params: dict[str, np.ndarray] | None = None):
         rule = KIND_RULES[config.kind]
         self.schema = schema
         self.config = config
@@ -177,25 +174,37 @@ class SharedBottomModel:
         self.aggregator = config.aggregator if rule.towers is None else "mul"
         if not (schema.cat_fields or schema.dense_count):
             raise ValueError("empty model input: the schema has no user or item field and dense=0")
-        self.params: dict[str, np.ndarray] = {}
-        self._init_params()
+        if params is None:
+            params = self._make_params(np.random.default_rng(config.seed))
+        given = [[name, *arr.shape] for name, arr in params.items()]
+        layout = [[name, *shape] for name, shape in self._make_params(None).items()]
+        if given != layout:
+            raise ValueError(f"parameter layout {given} does not match the model's {layout}")
+        self.params = params
 
     @property
     def input_dim(self) -> int:
         return (len(self.schema.cat_fields) * self.config.embedding_dim
                 + self.schema.dense_count)
 
-    def _init_params(self) -> None:
-        rng = np.random.default_rng(self.config.seed)
+    def _make_params(self, rng: np.random.Generator | None) -> dict:
+        """Every parameter by name, in order: its initial grid, a standard normal
+        draw from ``rng`` times ``std`` or ``fill`` everywhere, or with
+        ``rng=None`` only its shape, so no array is made."""
         cfg = self.config
-        for spec in self.schema.cat_fields:
-            # one extra row reserved for out-of-vocabulary ids
-            self.params[f"emb/{spec.name}"] = 0.1 * rng.standard_normal(
-                (spec.cardinality + 1, cfg.embedding_dim))
+
+        def grid(shape: tuple[int, int], std: float | None = None, fill: float = 0.0):
+            if rng is None:
+                return shape
+            return np.full(shape, fill) if std is None else std * rng.standard_normal(shape)
+
+        # one extra embedding row reserved for out-of-vocabulary ids
+        params = {f"emb/{spec.name}": grid((spec.cardinality + 1, cfg.embedding_dim), 0.1)
+                  for spec in self.schema.cat_fields}
 
         def dense(prefix: str, fan_in: int, width: int, gain: float = 2.0) -> int:
-            self.params[f"{prefix}/W"] = rng.standard_normal((fan_in, width)) * np.sqrt(gain / fan_in)
-            self.params[f"{prefix}/b"] = np.zeros((width, 1))
+            params[f"{prefix}/W"] = grid((fan_in, width), np.sqrt(gain / fan_in))
+            params[f"{prefix}/b"] = grid((width, 1))
             return width
 
         fan_in = self.input_dim
@@ -207,7 +216,8 @@ class SharedBottomModel:
                 dim = dense(f"tower/{t}/{i}", dim, width)
             dense(f"tower/{t}/{len(cfg.tower_layers)}", dim, 1, gain=1.0)
         if self.aggregator == "linear":
-            self.params["agg/w"] = np.ones((self.tower_count, 1))
+            params["agg/w"] = grid((self.tower_count, 1), fill=1.0)
+        return params
 
     def bind(self, graph: Graph) -> dict[str, Tensor]:
         """Register every parameter as a trainable leaf on ``graph``."""
@@ -385,9 +395,6 @@ class TrainReport:
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def fit(config: ModelConfig, train: Dataset, valid: Dataset) -> tuple[SharedBottomModel, TrainReport]:
     """Impression-batched Adam training with best-validation-NDCG selection.
@@ -517,28 +524,24 @@ def load_checkpoint(path) -> SharedBottomModel:
             raise CheckpointError(f"unsupported checkpoint version {manifest['version']}; "
                                   f"this code reads version {CHECKPOINT_VERSION}")
         checksum = manifest["sha256"]
-        model = SharedBottomModel(
-            _schema_from_dict(manifest["schema"]),
-            config_from_dict(manifest["config"]),
-        )
-        layout = [[name, *arr.shape] for name, arr in model.params.items()]
-        if manifest["params"] != layout:
-            raise CheckpointError(f"parameter layout {manifest['params']} does not match "
-                                  f"the model's {layout}")
+        schema = _schema_from_dict(manifest["schema"])
+        config = from_dict(ModelConfig, manifest["config"])
+        # the grids the manifest declares are read from the file, and only then
+        # checked against the model, so no array is larger than the file backs
+        params, offset = {}, start + length
+        for name, rows, cols in manifest["params"]:
+            if len(data) < offset + rows * cols * 8:
+                raise CheckpointError(f"truncated checkpoint: parameter {name!r} ({rows}x{cols}) "
+                                      f"needs {rows * cols * 8} bytes, {len(data) - offset} present")
+            params[name] = np.frombuffer(
+                data, dtype=np.float64, count=rows * cols, offset=offset).reshape(rows, cols).copy()
+            offset += rows * cols * 8
+        if offset != len(data):
+            raise CheckpointError(f"{len(data) - offset} trailing bytes after the last parameter grid")
+        if hashlib.sha256(memoryview(data)[start + length:]).hexdigest() != checksum:
+            raise CheckpointError("parameter bytes do not match the manifest's SHA-256 checksum")
+        return SharedBottomModel(schema, config, params)
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:  # JSON and unicode errors included
         raise CheckpointError(f"bad checkpoint manifest: {type(exc).__name__}: {exc}") from None
-    offset = start + length
-    for name, rows, cols in layout:
-        if len(data) < offset + rows * cols * 8:
-            raise CheckpointError(f"truncated checkpoint: parameter {name!r} ({rows}x{cols}) "
-                                  f"needs {rows * cols * 8} bytes, {len(data) - offset} present")
-        model.params[name] = np.frombuffer(
-            data, dtype=np.float64, count=rows * cols, offset=offset).reshape(rows, cols).copy()
-        offset += rows * cols * 8
-    if offset != len(data):
-        raise CheckpointError(f"{len(data) - offset} trailing bytes after the last parameter grid")
-    if hashlib.sha256(memoryview(data)[start + length:]).hexdigest() != checksum:
-        raise CheckpointError("parameter bytes do not match the manifest's SHA-256 checksum")
-    return model

@@ -54,6 +54,32 @@ def test_worse_median_is_flagged_against_its_bound():
     assert all(row.endswith("OVER BOUND") for row in table[1:])
 
 
+def wide(change_train):
+    """Five pairs whose parent train values spread by a third of their median
+    (quartiles 100 and 140, median 120), wider than the 0.25 bound."""
+    parent_train = [60.0, 100.0, 120.0, 140.0, 180.0]
+    return [json.loads(line(side, seed, train, 70.0))
+            for seed, pair in enumerate(zip(parent_train, change_train), start=1)
+            for side, train in zip(("parent", "change"), pair)]
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    train, rss = bench_pairs.summarize(wide([130.0, 90.0, 125.0, 150.0, 170.0]), METRICS)
+    assert train["rel_spread"] == pytest.approx(40.0 / 120.0)
+    assert train["unresolved"] and train["worse_by"] < train["bound"]
+    assert rss["rel_spread"] == 0.0 and not rss["unresolved"]
+    header, train_row, rss_row = bench_pairs.format_rows([train, rss])
+    assert train_row.endswith("  UNRESOLVED") and "OVER BOUND" not in train_row
+    assert "33.3%" in train_row
+    assert "UNRESOLVED" not in rss_row
+
+
+def test_every_change_run_beating_every_parent_run_is_resolved():
+    train, _ = bench_pairs.summarize(wide([190.0, 200.0, 210.0, 220.0, 230.0]), METRICS)
+    assert train["rel_spread"] > train["bound"] and not train["unresolved"]
+    assert "UNRESOLVED" not in bench_pairs.format_rows([train])[1]
+
+
 def test_runs_that_failed_are_faults():
     records = [json.loads(s) for s in CANNED]
     assert bench_pairs.faults(records) == []

@@ -305,9 +305,16 @@ class TestEvalCheckpointErrors:
         (lambda raw: TestEvalCheckpointErrors.rewrite_manifest(
             raw, lambda m: m.update(version=1)),
          "unsupported checkpoint version 1"),
+        # a model that the file cannot back; numpy would refuse these sizes at once
+        (lambda raw: TestEvalCheckpointErrors.rewrite_manifest(
+            raw, lambda m: m["config"].update(embedding_dim=2**40)),
+         "bad checkpoint manifest: ValueError: parameter layout"),
+        (lambda raw: TestEvalCheckpointErrors.rewrite_manifest(
+            raw, lambda m: m["schema"]["user_fields"][0].__setitem__(1, 2**40)),
+         "bad checkpoint manifest: ValueError: parameter layout"),
     ], ids=["magic", "short-header", "short-manifest", "json", "truncated-params",
             "trailing-bytes", "unknown-config-key", "rejected-schema", "flipped-param-byte",
-            "no-checksum", "version-1"])
+            "no-checksum", "version-1", "huge-embedding-dim", "huge-cardinality"])
     def test_corrupt_checkpoint_exits_2(self, trained, tmp_path, corrupt, message):
         ckpt, data_path = trained
         bad = tmp_path / "bad.bin"
@@ -316,7 +323,8 @@ class TestEvalCheckpointErrors:
             load_checkpoint(bad)
         result = runner.invoke(main, ["eval", "--checkpoint", str(bad), "--data", str(data_path)])
         assert result.exit_code == 2, result.output
-        assert "error: " in result.output and message in result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert message in result.output
 
 
 class TestGradcheckCommand:
@@ -449,6 +457,27 @@ class TestConfigHandling:
         result = runner.invoke(main, ["train", "--config", str(config)])
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    @pytest.mark.parametrize("text,message", [
+        ("seeds: [1]\ndata: {synth: {impressions: 40}}\nmodel: {kind: esmm, epochs: 1}\n"
+         "seeds: [2]\n", "key 'seeds' given twice, at lines 1 and 4"),
+        ("data: {synth: {impressions: 40}}\nmodel:\n  kind: esmm\n  epochs: 1\n"
+         "  kind: dnn_pointwise\n", "key 'kind' given twice, at lines 3 and 5"),
+    ], ids=["top-level", "in-model"])
+    def test_repeated_config_key_exits_2(self, tmp_path, monkeypatch, command, text, message):
+        """Raw text: ``yaml.safe_dump`` never repeats a key, and ``yaml.safe_load``
+        would keep the last value."""
+        monkeypatch.chdir(tmp_path)
+        fits = []
+        monkeypatch.setattr(cli_mod, "fit", lambda *args: fits.append(args))
+        config = tmp_path / "config.yaml"
+        config.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, [command, "--config", str(config), "--out", "out"])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: cannot read config {config}: {message}\n"
+        assert fits == [] and not (tmp_path / "out").exists()
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -14,8 +14,8 @@ import record
 import mtlds.gradcore.tensor as tensor_mod
 import mtlds.model as model_mod
 from mtlds.aggregate import LabelSequence, label_gain
-from mtlds.data import (Dataset, FieldSpec, Impression, Sample, Schema, SynthConfig, split,
-                        synthesize)
+from mtlds.data import (Dataset, FieldSpec, Impression, Sample, Schema, SynthConfig, from_dict,
+                        split, synthesize)
 from mtlds.evaluation import MetricReport, UndefinedMetricError, evaluate_ranking
 from mtlds.gradcore import Graph, corrupted_vjp
 from mtlds.model import (
@@ -26,7 +26,6 @@ from mtlds.model import (
     DivergenceError,
     ModelConfig,
     SharedBottomModel,
-    config_from_dict,
     encode_samples,
     evaluate_model,
     fit,
@@ -393,7 +392,7 @@ class TestFit:
         config = small_config(epochs=2, batch_size=8)
         model_a, report_a = fit(config, tr, va)
         model_b, report_b = fit(config, tr, va)
-        assert report_a.as_dict() == report_b.as_dict()
+        assert asdict(report_a) == asdict(report_b)
         for name in model_a.params:
             assert np.array_equal(model_a.params[name], model_b.params[name])
 
@@ -777,7 +776,7 @@ class TestCheckpoint:
 class TestConfigSerialization:
     def test_round_trip(self):
         config = small_config(task_loss=("bce", "ranknet"))
-        assert config_from_dict(json.loads(json.dumps(asdict(config)))) == config
+        assert from_dict(ModelConfig, json.loads(json.dumps(asdict(config)))) == config
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown model kind"):

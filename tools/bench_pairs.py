@@ -12,9 +12,12 @@ change first on even ones, and writes each run to OUT as one JSON line with
 the keys ``side``, ``workload``, ``seed``, ``exit`` and ``result`` (the run's
 last line of standard output, or null), the layout of the ``BENCH_*.json``
 files.  Then, for each end-to-end metric in the change's ``BENCHMARK.json``,
-it prints both sides' medians, the distance between the parent's quartiles,
-the median's relative move in the metric's worse direction against its
-bound, and the pairs (same seed) that the change won.
+it prints both sides' medians, the distance between the parent's quartiles
+relative to its median, the median's relative move in the metric's worse
+direction against its bound, and the pairs (same seed) that the change won.
+It flags a move past the bound ``OVER BOUND``, and a metric whose relative
+quartile spread is wider than its bound ``UNRESOLVED`` (neither better nor
+worse can be told) unless every change run beats every parent run.
 
 Exit status 1 if any run is not ``correct`` or has failed operations, 0
 otherwise.  Uses only the standard library.
@@ -85,7 +88,8 @@ def quartile_spread(values: list[float]) -> float:
 def summarize(records: list[dict], metrics: list[dict]) -> list[dict]:
     """Per end-to-end metric (``BENCHMARK.json`` entries): both medians, the
     parent's quartile spread, the median's relative move in the worse
-    direction, and the pairs won by the change, over the seeds both sides ran."""
+    direction, the pairs won by the change, and whether the metric is
+    unresolved, over the seeds both sides ran."""
     values = {side: {r["seed"]: r["result"]["metrics"] for r in records
                      if r["side"] == side and r["result"] and r["result"]["metrics"]}
               for side in SIDES}
@@ -98,27 +102,33 @@ def summarize(records: list[dict], metrics: list[dict]) -> list[dict]:
         parent = [values["parent"][s][name]["value"] for s in seeds]
         change = [values["change"][s][name]["value"] for s in seeds]
         p_med, c_med = statistics.median(parent), statistics.median(change)
+        spread = quartile_spread(parent)
+        rel_spread = spread / abs(p_med) if p_med else 0.0
         rows.append({
             "metric": name,
             "parent_median": p_med,
             "change_median": c_med,
-            "parent_spread": quartile_spread(parent),
+            "parent_spread": spread,
+            "rel_spread": rel_spread,
             "worse_by": sign * (p_med - c_med) / abs(p_med) if p_med else 0.0,
             "bound": m["bound"],
             "won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(seeds),
+            "unresolved": (rel_spread > m["bound"]
+                           and min(sign * c for c in change) <= max(sign * p for p in parent)),
         })
     return rows
 
 
 def format_rows(rows: list[dict]) -> list[str]:
-    lines = [f"{'metric':<26}{'parent med':>14}{'change med':>14}{'parent IQR':>12}"
+    lines = [f"{'metric':<26}{'parent med':>14}{'change med':>14}{'IQR/median':>12}"
              f"{'worse by':>10}{'bound':>7}{'won':>7}"]
     for r in rows:
-        flag = "  OVER BOUND" if r["worse_by"] > r["bound"] else ""
+        flags = ("  OVER BOUND" if r["worse_by"] > r["bound"] else "") + (
+            "  UNRESOLVED" if r["unresolved"] else "")
         lines.append(f"{r['metric']:<26}{r['parent_median']:>14.4g}{r['change_median']:>14.4g}"
-                     f"{r['parent_spread']:>12.4g}{r['worse_by']:>10.1%}{r['bound']:>7.2f}"
-                     f"{r['won']:>4}/{r['pairs']}{flag}")
+                     f"{r['rel_spread']:>12.1%}{r['worse_by']:>10.1%}{r['bound']:>7.2f}"
+                     f"{r['won']:>4}/{r['pairs']}{flags}")
     return lines
 
 
