@@ -60,10 +60,11 @@ def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def _dcg(g: np.ndarray) -> np.ndarray:
-    """DCG of gains ``g`` in rank order, over the last axis: each ``2^g - 1``
-    times the discount of its position, summed."""
-    return ((2.0 ** g - 1.0) * ndcg_position_weights(g.shape[-1])).sum(axis=-1)
+def _dcg(g: np.ndarray, cutoffs: Sequence[int]) -> np.ndarray:
+    """DCG@k of gains ``g`` in rank order, over the last axis, for each k of ``cutoffs``
+    on a new first axis: each ``2^g - 1`` times its position's discount, summed to k."""
+    weighted = (2.0 ** g - 1.0) * ndcg_position_weights(g.shape[-1])
+    return np.stack([weighted[..., :k].sum(axis=-1) for k in cutoffs])
 
 
 def ndcg_at_k(
@@ -88,7 +89,7 @@ def ndcg_at_k(
         raise UndefinedMetricError("NDCG undefined: all gains are zero")
     by_score = np.argsort(-s, kind="stable")
     ideal = np.sort(g)[::-1]
-    return float(_dcg(g[by_score][:k]) / _dcg(ideal[:k]))
+    return float(_dcg(g[by_score], (k,))[0] / _dcg(ideal, (k,))[0])
 
 
 def evaluate_ranking(
@@ -130,8 +131,7 @@ def evaluate_ranking(
         S, G = scores[cols], gains[cols]
         by_score = np.take_along_axis(G, np.argsort(-S, axis=1, kind="stable"), axis=1)
         ideal = np.sort(G, axis=1)[:, ::-1]
-        for i, k in enumerate(cutoffs):
-            ndcg[i, rows] = _dcg(by_score[:, :k]) / _dcg(ideal[:, :k])
+        ndcg[:, rows] = _dcg(by_score, cutoffs) / _dcg(ideal, cutoffs)
     ndcg_count = int(defined.sum())
     if ndcg_count == 0:
         raise UndefinedMetricError("NDCG undefined: every impression has all-zero gains")
