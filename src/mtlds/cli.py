@@ -156,15 +156,6 @@ def _load_source(cfg: ExperimentConfig) -> Dataset:
         raise ConfigError(f"cannot read {cfg.dataset_path}: {exc}") from exc
 
 
-def _resolve_out_dir(cfg: ExperimentConfig, flag_value: str | None) -> Path:
-    env = os.environ.get("MTLDS_OUT_DIR")
-    if env:
-        return Path(env)
-    if flag_value:
-        return Path(flag_value)
-    return Path(cfg.out_dir)
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
@@ -252,7 +243,7 @@ def cmd_train(config_path: str, out_flag: str | None, seed_flag: int | None,
                               f"gives train/valid/test sizes {sizes}; each needs one or more")
     except (ConfigError, DatasetFormatError, ValueError) as exc:
         _fail(str(exc), 2)
-    out_dir = _resolve_out_dir(cfg, out_flag)
+    out_dir = Path(os.environ.get("MTLDS_OUT_DIR") or out_flag or cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -336,12 +327,10 @@ def cmd_gradcheck(trials: int) -> None:
     """Run gradient checks for every op and loss, plus the URS property sweep."""
     results = run_all_checks(trials=trials)
     width = max(len(r.name) for r in results)
-    failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            failures += 1
         click.echo(f"{r.name:<{width}}  worst={r.worst:.3e}  tol={r.tol:.1e}  {status}")
+    failures = sum(not r.passed for r in results)
     click.echo(f"{len(results) - failures}/{len(results)} checks passed")
     if failures:
         sys.exit(1)

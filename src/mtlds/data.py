@@ -21,7 +21,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
@@ -475,22 +475,12 @@ def split(
     The fractions follow ``split_fractions``; sizes match them to within one
     impression (cumulative rounding).
     """
-    fracs = split_fractions(fractions)
     n = len(ds.impressions)
     order = np.random.default_rng(seed).permutation(n)
-    cuts = [0]
-    acc = 0.0
-    for f in fracs:
-        acc += f
-        cuts.append(round(acc * n))
+    cuts = [0, *(round(acc * n) for acc in accumulate(split_fractions(fractions)))]
     cuts[-1] = n
-    parts = []
-    for a, b in zip(cuts, cuts[1:]):
-        parts.append(Dataset(
-            schema=ds.schema,
-            impressions=tuple(ds.impressions[i] for i in order[a:b]),
-        ))
-    return tuple(parts)
+    return tuple(Dataset(ds.schema, tuple(ds.impressions[i] for i in order[a:b]))
+                 for a, b in zip(cuts, cuts[1:]))
 
 
 def project_tasks(ds: Dataset, tasks: Sequence[str]) -> Dataset:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import require_distinct_ints
+from .data import require_distinct_ints, require_int
 from .gradcore.tensor import Layout
 from .sortops import check_lengths, ndcg_position_weights
 
@@ -77,8 +77,7 @@ def ndcg_at_k(
     Items are ranked by descending score (stable ties) and the ideal ordering
     is by descending gain.  Undefined when every gain is zero.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require_int("k", k, 1)
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     g = np.asarray(gains, dtype=np.float64).reshape(-1)
     if s.shape != g.shape:

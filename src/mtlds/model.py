@@ -182,11 +182,6 @@ class SharedBottomModel:
             raise ValueError(f"parameter layout {given} does not match the model's {layout}")
         self.params = params
 
-    @property
-    def input_dim(self) -> int:
-        return (len(self.schema.cat_fields) * self.config.embedding_dim
-                + self.schema.dense_count)
-
     def _make_params(self, rng: np.random.Generator | None) -> dict:
         """Every parameter by name, in order: its initial grid, a standard normal
         draw from ``rng`` times ``std`` or ``fill`` everywhere, or with
@@ -207,7 +202,7 @@ class SharedBottomModel:
             params[f"{prefix}/b"] = grid((width, 1))
             return width
 
-        fan_in = self.input_dim
+        fan_in = len(self.schema.cat_fields) * cfg.embedding_dim + self.schema.dense_count
         for i, width in enumerate(cfg.shared_layers):
             fan_in = dense(f"shared/{i}", fan_in, width)
         for t in range(self.tower_count):

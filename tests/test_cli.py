@@ -401,7 +401,8 @@ class TestConfigHandling:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("overrides,message", [
-        ({"seeds": [1, 1, 2]}, "bad config value: seeds must be distinct, got [1, 1, 2] (1 repeats)"),
+        ({"seeds": [1, 1, 2]},
+         "bad config value: seeds must be distinct, got [1, 1, 2] (1 repeats)"),
         ({"cutoffs": [6, 6, 2]},
          "bad config value: cutoffs must be distinct, got [6, 6, 2] (6 repeats)"),
         ({"model": {"tau": float("nan")}}, "tau must be positive and finite"),
@@ -445,13 +446,14 @@ class TestConfigHandling:
         ({"data": {"synth": {"tasks": ["click,x", "buy"]}}},
          "bad data.synth section: task names must be non-empty strings without ',', tab, "
          "CR or LF, got ['click,x', 'buy']"),
-    ], ids=["repeated-seeds", "repeated-cutoffs", "tau-nan", "tau-inf", "lr-nan", "lr-zero", "esmm-aggregator",
-            "mtlds-aggregator", "gain", "rank-by", "weight-nan", "weight-inf", "weight-negative",
-            "split-nan", "split-inf", "split-string", "split-negative", "esmm-three-tasks",
-            "task-loss-length", "synth-list", "synth-tasks-number", "synth-biases-number",
-            "model-seed", "gain-number", "rank-by-number", "data-path-number", "cutoffs-scalar",
-            "seeds-scalar", "split-scalar", "shared-layers-scalar", "synth-biases-scalar",
-            "synth-tasks-string", "synth-task-numbers", "synth-task-comma"])
+    ], ids=["repeated-seeds", "repeated-cutoffs", "tau-nan", "tau-inf", "lr-nan", "lr-zero",
+            "esmm-aggregator", "mtlds-aggregator", "gain", "rank-by", "weight-nan", "weight-inf",
+            "weight-negative", "split-nan", "split-inf", "split-string", "split-negative",
+            "esmm-three-tasks", "task-loss-length", "synth-list", "synth-tasks-number",
+            "synth-biases-number", "model-seed", "gain-number", "rank-by-number",
+            "data-path-number", "cutoffs-scalar", "seeds-scalar", "split-scalar",
+            "shared-layers-scalar", "synth-biases-scalar", "synth-tasks-string",
+            "synth-task-numbers", "synth-task-comma"])
     def test_bad_config_value_exits_2(self, tmp_path, overrides, message):
         config = write_config(tmp_path, **overrides)
         result = runner.invoke(main, ["train", "--config", str(config)])

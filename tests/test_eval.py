@@ -187,7 +187,8 @@ class TestEvaluateRanking:
 
     @pytest.mark.parametrize("scores,gains,lengths,cutoffs,match", [
         ([0.5, 0.1], [1, 0], [2], (2, 0), r"cutoffs\[1\] must be an integer >= 1, got 0"),
-        ([0.5, 0.1], [1, 0], [2], (6, 6), r"cutoffs must be distinct, got \[6, 6\] \(6 repeats\)"),
+        ([0.5, 0.1], [1, 0], [2], (6, 6),
+         r"cutoffs must be distinct, got \[6, 6\] \(6 repeats\)"),
         ([0.5, 0.1], [1, -1], [2], (2,), "gains must be non-negative"),
         ([0.5, 0.1, 0.3, 0.2], [1, 0, 0, -1], [2, 2], (2,), "gains must be non-negative"),
         ([0.5, 0.1, 0.3, 0.2], [1, 0, 1], [2, 2], (2,), "4 scores vs 3 gains"),
@@ -199,9 +200,9 @@ class TestEvaluateRanking:
          r"evaluate_ranking: impression lengths \[2, 2\] .* the column's 3 rows"),
         ([0.5, 0.1], [1, 0], check_lengths(np.array([], dtype=np.intp), 0, "no column"), (2,),
          "no impressions to evaluate"),
-    ], ids=["k-zero", "repeated-cutoff", "negative-gain", "negative-gain-in-zero-row", "length-mismatch",
-            "list-count-mismatch", "lengths-short", "zero-length", "no-lengths", "other-layout",
-            "empty-layout"])
+    ], ids=["k-zero", "repeated-cutoff", "negative-gain", "negative-gain-in-zero-row",
+            "length-mismatch", "list-count-mismatch", "lengths-short", "zero-length", "no-lengths",
+            "other-layout", "empty-layout"])
     def test_invalid_input_rejected(self, scores, gains, lengths, cutoffs, match):
         finals = np.zeros(len(scores), dtype=int)
         finals[0] = 1
