@@ -315,7 +315,17 @@ def _format_fields(fields: tuple[FieldSpec, ...]) -> str:
 
 def write_dataset(ds: Dataset, path) -> None:
     """Write a dataset in the documented format (floats via shortest repr),
-    atomically (see ``atomic_open``)."""
+    atomically (see ``atomic_open``).  Raises ValueError, before writing,
+    naming an impression id that ``load_dataset`` would not read back as it
+    is: one that is not a non-empty string free of tab and LF, or one used twice."""
+    seen = set()
+    for imp in ds.impressions:
+        if not (isinstance(imp.id, str) and imp.id and not any(c in imp.id for c in "\t\n")):
+            raise ValueError(f"impression id {imp.id!r} must be a non-empty string "
+                             "without tab or LF")
+        if imp.id in seen:
+            raise ValueError(f"impression id {imp.id!r} is used twice")
+        seen.add(imp.id)
     with atomic_open(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
         fh.write(
             f"{SCHEMA_PREFIX}\tuser={_format_fields(ds.schema.user_fields)}"

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import require_distinct_ints, require_int
 from .gradcore.tensor import Layout
-from .sortops import check_lengths, ndcg_position_weights
+from .sortops import check_lengths, finite_vector, ndcg_position_weights
 
 
 class UndefinedMetricError(ValueError):
@@ -40,9 +40,9 @@ def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray
     """Probability that a random positive outranks a random negative, ties 1/2.
 
     Rank-sum formulation with midranks, so it matches the O(n^2) pairwise
-    count exactly.
+    count exactly.  The scores must pass ``sortops.finite_vector``.
     """
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    s = finite_vector(scores, "auc: scores")
     y = np.asarray(labels).reshape(-1)
     if s.shape != y.shape:
         raise ValueError(f"{s.size} scores vs {y.size} labels")
@@ -102,6 +102,7 @@ def evaluate_ranking(
     ``final_labels`` hold one entry per sample, one impression after another,
     and ``lengths`` the number of samples of each impression or their
     ``Layout``, which must pass ``sortops.check_lengths`` (a ValueError).
+    The scores must pass ``sortops.finite_vector``.
 
     AUC of the final task is computed globally over all samples.  NDCG is per
     impression, skipping impressions whose gains are all zero, and averaged
@@ -111,7 +112,7 @@ def evaluate_ranking(
     loop over ``ndcg_at_k``.
     """
     require_distinct_ints("cutoffs", cutoffs, 1)
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    scores = finite_vector(scores, "evaluate_ranking: scores")
     gains = np.asarray(gains, dtype=np.float64).reshape(-1)
     if np.size(lengths.lengths if isinstance(lengths, Layout) else lengths) == 0:
         raise ValueError("no impressions to evaluate")

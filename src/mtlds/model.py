@@ -535,6 +535,10 @@ def load_checkpoint(path) -> SharedBottomModel:
             raise CheckpointError(f"{len(data) - offset} trailing bytes after the last parameter grid")
         if hashlib.sha256(memoryview(data)[start + length:]).hexdigest() != checksum:
             raise CheckpointError("parameter bytes do not match the manifest's SHA-256 checksum")
+        # fit stops before a parameter goes non-finite, so one here is a fault in the file
+        bad = next((name for name, grid in params.items() if not np.isfinite(grid).all()), None)
+        if bad is not None:
+            raise CheckpointError(f"parameter {bad!r} holds a non-finite value")
         return SharedBottomModel(schema, config, params)
     except CheckpointError:
         raise

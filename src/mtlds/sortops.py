@@ -48,6 +48,17 @@ def finite_real(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def finite_vector(values, what: str) -> np.ndarray:
+    """The rule of loss targets and metric scores: ``values`` as a flat
+    float64 vector, or a ValueError naming ``what`` and the first non-finite
+    value."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"{what} must be finite, got {v[bad[0]]} at position {bad[0]}")
+    return v
+
+
 def check_tau(tau: float) -> None:
     """The SoftSort temperature rule: ``tau`` is a finite positive number."""
     if not (finite_real(tau) and tau > 0):
@@ -147,12 +158,13 @@ def column_inputs(col: Tensor, target: Sequence[float] | np.ndarray,
     float vector and the impressions' ``Layout`` (``check_lengths``).
 
     Raises ShapeMismatchError naming ``loss`` unless the column has one
-    entry per target value.
+    entry per target value, and ValueError naming it unless the target
+    passes ``finite_vector``.
     """
     y = np.asarray(target, dtype=np.float64).reshape(-1)
     if col.cols != 1 or col.rows != y.size:
         raise ShapeMismatchError(f"{loss}: scores {col.shape} vs {y.size} labels")
-    return y, check_lengths(lengths, col.rows, loss)
+    return finite_vector(y, f"{loss}: target"), check_lengths(lengths, col.rows, loss)
 
 
 def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
@@ -161,6 +173,9 @@ def bce_loss(p: Tensor, y: Sequence[float] | np.ndarray,
     mean within each impression (``lengths`` rows each, in turn), then the
     mean over impressions (the whole list is one impression by default)."""
     yv, (lengths, _) = column_inputs(p, y, lengths, "bce_loss")
+    bad = np.flatnonzero((yv != 0) & (yv != 1))
+    if bad.size:
+        raise ValueError(f"bce_loss: labels must be 0 or 1, got {yv[bad[0]]} at position {bad[0]}")
     yv = yv.reshape(-1, 1)
     weights = np.repeat(1.0 / (lengths * lengths.size), lengths).reshape(-1, 1)
     g = p.graph

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -284,6 +285,16 @@ class TestEvalCheckpointErrors:
         blob = json.dumps(manifest).encode("utf-8")
         return raw[:head] + struct.pack("<Q", len(blob)) + blob + raw[head + 8 + length:]
 
+    @staticmethod
+    def nan_in_last_grid(raw: bytes) -> bytes:
+        """``raw`` with its last parameter value NaN and the checksum to match."""
+        head = len(CHECKPOINT_MAGIC)
+        (length,) = struct.unpack("<Q", raw[head:head + 8])
+        grids = raw[head + 8 + length:-8] + struct.pack("<d", np.nan)
+        return TestEvalCheckpointErrors.rewrite_manifest(
+            raw[:head + 8 + length] + grids,
+            lambda m: m.update(sha256=hashlib.sha256(grids).hexdigest()))
+
     @pytest.mark.parametrize("corrupt,message", [
         (lambda raw: b"NOTMTLDS" + raw[8:], "bad magic"),
         (lambda raw: raw[:len(CHECKPOINT_MAGIC) + 3], "header ends before the manifest length"),
@@ -312,9 +323,12 @@ class TestEvalCheckpointErrors:
         (lambda raw: TestEvalCheckpointErrors.rewrite_manifest(
             raw, lambda m: m["schema"]["user_fields"][0].__setitem__(1, 2**40)),
          "bad checkpoint manifest: ValueError: parameter layout"),
+        (lambda raw: TestEvalCheckpointErrors.nan_in_last_grid(raw),
+         "parameter 'agg/w' holds a non-finite value"),
     ], ids=["magic", "short-header", "short-manifest", "json", "truncated-params",
             "trailing-bytes", "unknown-config-key", "rejected-schema", "flipped-param-byte",
-            "no-checksum", "version-1", "huge-embedding-dim", "huge-cardinality"])
+            "no-checksum", "version-1", "huge-embedding-dim", "huge-cardinality",
+            "nan-param"])
     def test_corrupt_checkpoint_exits_2(self, trained, tmp_path, corrupt, message):
         ckpt, data_path = trained
         bad = tmp_path / "bad.bin"

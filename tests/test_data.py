@@ -71,6 +71,24 @@ class TestLoadDataset:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("ids,message", [
+        (("a", ""), "impression id '' must be a non-empty string without tab or LF"),
+        (("a\tb",), r"impression id 'a\\tb' must be"),
+        (("a\nb",), r"impression id 'a\\nb' must be"),
+        (("a", "a"), "impression id 'a' is used twice"),
+        (("a", "b", "a"), "impression id 'a' is used twice"),
+    ], ids=["empty", "tab", "lf", "adjacent-twice", "apart-twice"])
+    def test_write_rejects_ids_the_file_cannot_carry(self, tmp_path, ids, message):
+        path = tmp_path / "ds.tsv"
+        path.write_bytes(b"before")
+        schema = Schema((FieldSpec("user_id", 4),), (FieldSpec("item_id", 6),), 0,
+                        ("click", "purchase"))
+        sample = Sample((0,), (1,), (), LabelSequence((1, 0)))
+        with pytest.raises(ValueError, match=message):
+            write_dataset(Dataset(schema, tuple(Impression(i, (sample,)) for i in ids)), path)
+        assert path.read_bytes() == b"before"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_numpy_float_dense_values_round_trip(self, tmp_path):
         schema = Schema((FieldSpec("user_id", 4),), (FieldSpec("item_id", 6),), 2,
                         ("click", "purchase"))

@@ -51,6 +51,10 @@ class TestAUC:
         with pytest.raises(UndefinedMetricError, match="3 positive and 0 negative"):
             auc([0.1, 0.2, 0.3], [1, 1, 1])
 
+    def test_non_finite_score_rejected(self):
+        with pytest.raises(ValueError, match="auc: scores must be finite, got nan at position 0"):
+            auc([np.nan, 0.1, 0.2], [1, 0, 0])
+
     def test_rank_only_dependence(self):
         rng = np.random.default_rng(1)
         scores = rng.standard_normal(50)
@@ -200,9 +204,13 @@ class TestEvaluateRanking:
          r"evaluate_ranking: impression lengths \[2, 2\] .* the column's 3 rows"),
         ([0.5, 0.1], [1, 0], check_lengths(np.array([], dtype=np.intp), 0, "no column"), (2,),
          "no impressions to evaluate"),
+        ([np.nan, 0.1], [1, 0], [2], (1,),
+         "evaluate_ranking: scores must be finite, got nan at position 0"),
+        ([0.5, 0.1, np.inf], [1, 0, 0], [1, 2], (1,),
+         "evaluate_ranking: scores must be finite, got inf at position 2"),
     ], ids=["k-zero", "repeated-cutoff", "negative-gain", "negative-gain-in-zero-row",
             "length-mismatch", "list-count-mismatch", "lengths-short", "zero-length", "no-lengths",
-            "other-layout", "empty-layout"])
+            "other-layout", "empty-layout", "nan-score", "inf-score"])
     def test_invalid_input_rejected(self, scores, gains, lengths, cutoffs, match):
         finals = np.zeros(len(scores), dtype=int)
         finals[0] = 1

@@ -299,6 +299,11 @@ def test_column_and_labels_checked_with_one_message(loss):
     message = rf"{loss.__name__}: scores \(5, 2\) vs 4 labels"
     with pytest.raises(ShapeMismatchError, match=message):
         loss(col, [1, 0, 1, 0])
+    col = Graph().tensor(np.full((3, 1), 0.5))
+    for target, bad in (([np.nan, 1, 0], "nan at position 0"),
+                        ([1, 0, -np.inf], "-inf at position 2")):
+        with pytest.raises(ValueError, match=f"{loss.__name__}: target must be finite, got {bad}"):
+            loss(col, target)
 
 
 class TestBCELoss:
@@ -314,6 +319,10 @@ class TestBCELoss:
     def test_length_mismatch(self):
         with pytest.raises(Exception):
             bce_loss(Graph().tensor([[0.5]]), [1, 0])
+
+    def test_labels_other_than_0_and_1_rejected(self):
+        with pytest.raises(ValueError, match="bce_loss: labels must be 0 or 1, got 2.0 at position"):
+            bce_loss(Graph().tensor([[0.5], [0.5], [0.5]]), [2, 0, 1])
 
     def test_gradient(self):
         rng = np.random.default_rng(8)

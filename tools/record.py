@@ -38,20 +38,19 @@ import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 
-from mtlds.aggregate import LabelSequence  # noqa: E402
 from mtlds.cli import main as mtlds_main  # noqa: E402
-from mtlds.data import FieldSpec, Impression, Sample, Schema  # noqa: E402
+from mtlds.data import Columns, FieldSpec, Schema  # noqa: E402
 from mtlds.gradcore import Graph  # noqa: E402
 from mtlds.model import MODEL_KINDS, ModelConfig, SharedBottomModel  # noqa: E402
 
-# ------------------------------------------------ listwise.npz: one ragged batch
-# batch_loss and every parameter gradient of small listwise models.  The lists
-# hold 1 to 40 items, with repeated lengths, tied depth labels, and two samples
-# with identical features in one list, so their scores tie.  At tau=0.01 the
-# probability clip of the sort loss is active.
+# --------------------------------- models.npz: small models on two batches
+# The ragged batch holds lists of 1 to 40 items, with repeated lengths, tied
+# depth labels, and two samples with identical features in one list, so their
+# scores tie; at tau=0.01 the probability clip of the sort loss is active.  The
+# pin batch holds two impressions of different lengths, so the per-impression
+# means and the mean over impressions both matter.  Reordering a batch's
+# random draws changes every value recorded on it.
 
-LISTWISE_KINDS = ("mtlds", "mtl_listnet", "dnn_diffsort")
-LISTWISE_TAUS = (0.01, 0.25)
 LENGTHS = (1, 7, 40, 3, 7, 12, 2, 40, 25, 7)
 TWIN_LIST, TWIN_A, TWIN_B = 5, 3, 8
 RAGGED_SCHEMA = Schema(
@@ -62,45 +61,26 @@ RAGGED_SCHEMA = Schema(
 )
 
 
-def ragged_batch() -> list[Impression]:
+def _columns(draws, labels, lengths) -> Columns:
+    """The ``Columns`` of samples drawn as (user id, item id, dense value),
+    with their label rows and the impression lengths."""
+    ids = np.array([(user, item) for user, item, _ in draws], dtype=np.int64)
+    dense = np.array([[x] for _, _, x in draws])
+    return Columns(ids, dense, np.asarray(labels, dtype=np.float64),
+                   np.array(lengths, dtype=np.intp))
+
+
+def ragged_batch() -> Columns:
     rng = np.random.default_rng(7)
-    batch = []
-    for i, n in enumerate(LENGTHS):
-        user = int(rng.integers(6))
-        samples = []
-        for depth in rng.integers(0, 4, size=n):
-            samples.append(Sample(
-                user_ids=(user,),
-                item_ids=(int(rng.integers(12)),),
-                dense=(float(rng.standard_normal()),),
-                labels=LabelSequence(tuple(1 if t < depth else 0 for t in range(3))),
-            ))
-        if i == TWIN_LIST:
-            twin = samples[TWIN_A]
-            samples[TWIN_B] = Sample(twin.user_ids, twin.item_ids, twin.dense,
-                                     samples[TWIN_B].labels)
-        batch.append(Impression(f"imp{i}", tuple(samples)))
-    return batch
+    draws, depths = [], []
+    for n in LENGTHS:
+        user = rng.integers(6)
+        depths += list(rng.integers(0, 4, size=n))
+        draws += [(user, rng.integers(12), rng.standard_normal()) for _ in range(n)]
+    twin = sum(LENGTHS[:TWIN_LIST])
+    draws[twin + TWIN_B] = draws[twin + TWIN_A]
+    return _columns(draws, np.arange(3) < np.array(depths)[:, None], LENGTHS)
 
-
-def listwise_arrays(kind: str, tau: float) -> dict[str, np.ndarray]:
-    """The batch loss and the gradient of every parameter, keyed ``<kind>/<tau>/...``."""
-    config = ModelConfig(kind=kind, aggregator="linear", tau=tau, embedding_dim=4,
-                         shared_layers=(8,), tower_layers=(4,), seed=5)
-    model = SharedBottomModel(RAGGED_SCHEMA, config)
-    graph = Graph()
-    pt = model.bind(graph)
-    loss = model.batch_loss(graph, ragged_batch(), pt)
-    grads = graph.backward(loss)
-    out = {f"{kind}/{tau}/loss": loss.value.copy()}
-    for name, arr in model.params.items():
-        out[f"{kind}/{tau}/grad/{name}"] = grads.get(pt[name].node_id, np.zeros_like(arr))
-    return out
-
-
-# ------------------------------------- pinned.json and scores.npz: PIN_BATCH
-# Two impressions of different lengths, so the per-impression means and the
-# mean over impressions both matter.
 
 PIN_SCHEMA = Schema(
     user_fields=(FieldSpec("user_id", 6),),
@@ -110,53 +90,50 @@ PIN_SCHEMA = Schema(
 )
 
 
-def _pin_impression(imp_id: str, rows, seed: int) -> Impression:
-    rng = np.random.default_rng(seed)
-    return Impression(imp_id, tuple(
-        Sample(user_ids=(int(rng.integers(6)),), item_ids=(int(rng.integers(10)),),
-               dense=tuple(rng.standard_normal(1)), labels=LabelSequence(tuple(labels)))
-        for labels in rows))
+def pin_batch() -> Columns:
+    draws, labels = [], []
+    for seed, rows in ((11, [(1, 1), (0, 0), (1, 0), (0, 0), (1, 1)]),
+                       (12, [(1, 0), (0, 0), (1, 1)])):
+        rng = np.random.default_rng(seed)
+        draws += [(rng.integers(6), rng.integers(10), rng.standard_normal()) for _ in rows]
+        labels += rows
+    return _columns(draws, labels, (5, 3))
 
 
-PIN_BATCH = [
-    _pin_impression("a", [(1, 1), (0, 0), (1, 0), (0, 0), (1, 1)], seed=11),
-    _pin_impression("b", [(1, 0), (0, 0), (1, 1)], seed=12),
-]
-PIN_CONFIGS = {kind: {"kind": kind} for kind in MODEL_KINDS}
-PIN_CONFIGS["mtlds-bce-ranknet"] = {"kind": "mtlds", "task_loss": ("bce", "ranknet")}
-SCORE_CONFIGS = dict(PIN_CONFIGS)
-SCORE_CONFIGS.update({f"mtlds-{op}": {"kind": "mtlds", "aggregator": op}
-                      for op in ("mul", "max", "add")})
-RANK_BYS = ("aggregate", "task:purchase")
+BATCHES = {"ragged": (RAGGED_SCHEMA, ragged_batch()), "pin": (PIN_SCHEMA, pin_batch())}
+
+SMALL = dict(aggregator="linear", embedding_dim=4, shared_layers=(8,), tower_layers=(4,))
+PIN_CASES = {kind: {"kind": kind} for kind in MODEL_KINDS}
+PIN_CASES["mtlds-bce-ranknet"] = {"kind": "mtlds", "task_loss": ("bce", "ranknet")}
+PIN_CASES.update({f"mtlds-{op}": {"kind": "mtlds", "aggregator": op}
+                  for op in ("mul", "max", "add")})
+# each case: the batch it runs on and its model's config
+CASES = {
+    **{f"ragged/{kind}/{tau}": ("ragged", ModelConfig(**SMALL, kind=kind, tau=tau, seed=5))
+       for kind in ("mtlds", "mtl_listnet", "dnn_diffsort") for tau in (0.01, 0.25)},
+    **{f"pin/{name}": ("pin", ModelConfig(**{**SMALL, "tau": 0.5, "seed": 3, **overrides}))
+       for name, overrides in PIN_CASES.items()},
+}
 
 
-def pin_model(**overrides) -> SharedBottomModel:
-    config = dict(kind="mtlds", aggregator="linear", tau=0.5, embedding_dim=4,
-                  shared_layers=(8,), tower_layers=(4,), seed=3)
-    return SharedBottomModel(PIN_SCHEMA, ModelConfig(**dict(config, **overrides)))
-
-
-def pinned_values(case: str) -> dict[str, float]:
-    """``batch_loss`` on ``PIN_BATCH`` and the sum of each parameter's
-    gradient, keyed ``<case>/loss`` and ``<case>/grad_sum/<parameter>``."""
-    model = pin_model(**PIN_CONFIGS[case])
+def model_values(case: str) -> dict[str, np.ndarray]:
+    """``batch_loss``, the gradient of every parameter, and the flat scores
+    ranked by ``aggregate`` and by the last task's tower of the small model of
+    ``case`` on its batch, keyed ``<case>/loss``, ``<case>/grad/<parameter>``
+    and ``<case>/scores/<rank_by>``."""
+    batch_name, config = CASES[case]
+    schema, batch = BATCHES[batch_name]
+    model = SharedBottomModel(schema, config)
     graph = Graph()
     pt = model.bind(graph)
-    loss = model.batch_loss(graph, PIN_BATCH, pt)
+    loss = model.batch_loss(graph, batch, pt)
     grads = graph.backward(loss)
-    out = {f"{case}/loss": loss.item()}
-    for name in model.params:
-        out[f"{case}/grad_sum/{name}"] = float(grads[pt[name].node_id].sum())
+    out = {f"{case}/loss": loss.value.copy()}
+    for name, arr in model.params.items():
+        out[f"{case}/grad/{name}"] = grads.get(pt[name].node_id, np.zeros_like(arr))
+    for rank_by in ("aggregate", f"task:{schema.tasks[-1]}"):
+        out[f"{case}/scores/{rank_by}"] = model.flat_scores(batch.ids, batch.dense, rank_by)
     return out
-
-
-def score_arrays(case: str) -> dict[str, np.ndarray]:
-    """Per-impression ``ranking_scores`` on ``PIN_BATCH`` under each of
-    ``RANK_BYS``, keyed ``<case>/<rank_by>/<impression>``."""
-    model = pin_model(**SCORE_CONFIGS[case])
-    return {f"{case}/{rank_by}/{i}": scores
-            for rank_by in RANK_BYS
-            for i, scores in enumerate(model.ranking_scores(PIN_BATCH, rank_by=rank_by))}
 
 
 # -------------------------------------- golden_train: mtlds train, end to end
@@ -196,10 +173,6 @@ def npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     return buf.getvalue()
-
-
-def json_bytes(values: dict) -> bytes:
-    return (json.dumps(values, indent=2) + "\n").encode("utf-8")
 
 
 def flatten(node, prefix: str = "") -> dict:
@@ -324,19 +297,8 @@ def report(old_dir: Path, new_dir: Path) -> list[str]:
 
 # ----------------------------------------------------------------- the table
 
-def listwise_file() -> bytes:
-    return npz_bytes({key: value for kind in LISTWISE_KINDS for tau in LISTWISE_TAUS
-                      for key, value in listwise_arrays(kind, tau).items()})
-
-
-def scores_file() -> bytes:
-    return npz_bytes({key: value for case in SCORE_CONFIGS
-                      for key, value in score_arrays(case).items()})
-
-
-def pinned_file() -> bytes:
-    return json_bytes({key: value for case in PIN_CONFIGS
-                       for key, value in pinned_values(case).items()})
+def models_file() -> bytes:
+    return npz_bytes({key: value for case in CASES for key, value in model_values(case).items()})
 
 
 def golden_file(kind: str, name: str) -> bytes:
@@ -344,9 +306,7 @@ def golden_file(kind: str, name: str) -> bytes:
 
 
 RECORDINGS = {
-    "listwise.npz": listwise_file,
-    "scores.npz": scores_file,
-    "pinned.json": pinned_file,
+    "models.npz": models_file,
     **{f"golden_train/{kind}/{name}": partial(golden_file, kind, name)
        for kind in GOLDEN_KINDS for name in GOLDEN_FILES},
 }
