@@ -10,7 +10,7 @@ import numpy as np
 
 from .gradcore import Tensor, fn
 from .gradcore.tensor import ShapeMismatchError
-from .sortops import argsort_desc, perm_matrix
+from .sortops import argsort_desc
 
 AGGREGATOR_KINDS = ("mul", "max", "add", "linear")
 GAINS = ("depth", "final")
@@ -20,7 +20,7 @@ class LabelOrderError(ValueError):
     """A later behavior label is set without the earlier one."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelSequence:
     """Ordered binary behavior labels; index 0 is the click, later indices
     are post-click behaviors.  Must be monotone non-increasing: an action
@@ -74,11 +74,14 @@ def label_gain(labels: np.ndarray, gain: str) -> np.ndarray:
     return labels.sum(axis=1) if gain == "depth" else labels[:, -1]
 
 
-def label_permutation(scores: Sequence[int]) -> np.ndarray:
+def label_permutation(scores: Sequence[int] | np.ndarray) -> np.ndarray:
     """Ground-truth one-hot permutation matrix for one impression's aggregated
-    labels.
+    labels, or the ``(k, n, n)`` stack of them for a ``(k, n)`` block of
+    equal-length impressions: entry [i, j] = 1 iff j is ranked i-th
+    (``perm_matrix``).
 
     Stable descending sort, so equal scores keep their original order and the
     matrix is deterministic.  Empty input raises ValueError (``argsort_desc``).
     """
-    return perm_matrix(argsort_desc(np.asarray(scores, dtype=np.float64)))
+    order = argsort_desc(scores)
+    return np.eye(order.shape[-1])[order]

@@ -83,7 +83,7 @@ class Schema:
         return self.user_fields + self.item_fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     user_ids: tuple[int, ...]
     item_ids: tuple[int, ...]
@@ -91,7 +91,7 @@ class Sample:
     labels: LabelSequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Impression:
     id: str
     samples: tuple[Sample, ...]
@@ -209,7 +209,13 @@ def _parse_header(line: str, line_no: int) -> Schema:
         raise DatasetFormatError(f"line {line_no}: {exc}") from None
 
 
-def _parse_ids(text: str, count: int, what: str, line_no: int) -> tuple[int, ...]:
+def _parse_ids(text: str, count: int, what: str, line_no: int,
+               known: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
+    """The ids of one id column's ``text``: the tuple in ``known`` when an
+    earlier line held the same text, else parsed, checked and stored there."""
+    ids = known.get(text)
+    if ids is not None:
+        return ids
     ids = tuple(int(x) for x in text.split("|")) if text else ()
     if len(ids) != count:
         raise DatasetFormatError(
@@ -217,22 +223,30 @@ def _parse_ids(text: str, count: int, what: str, line_no: int) -> tuple[int, ...
     # ids are encoded as int64; no text of 18 characters or fewer holds a larger one
     if len(text) > 18 and not all(-2 ** 63 <= i < 2 ** 63 for i in ids):
         raise DatasetFormatError(f"line {line_no}: {what} id outside int64 in {text!r}")
+    known[text] = ids
     return ids
 
 
-def _parse_line(line: str, schema: Schema, line_no: int) -> tuple[str, Sample]:
-    """The impression id and the sample of one data line."""
+def _parse_line(line: str, schema: Schema, line_no: int,
+                known: tuple[dict, dict, dict]) -> tuple[str, Sample]:
+    """The impression id and the sample of one data line.  ``known`` maps
+    each user-id, item-id and label text that passed every check on an
+    earlier line to its value, which the sample then shares; a text that
+    fails is never stored, so the error names the line that holds it."""
     parts = line.rstrip("\r\n").split("\t")
     if len(parts) != 5:
         raise DatasetFormatError(f"line {line_no}: expected 5 tab-separated columns, got {len(parts)}")
     imp_id, user_text, item_text, dense_text, label_text = parts
     if not imp_id:
         raise DatasetFormatError(f"line {line_no}: empty impression id")
+    known_users, known_items, known_labels = known
+    labels = known_labels.get(label_text)
     try:
-        user_ids = _parse_ids(user_text, len(schema.user_fields), "user", line_no)
-        item_ids = _parse_ids(item_text, len(schema.item_fields), "item", line_no)
+        user_ids = _parse_ids(user_text, len(schema.user_fields), "user", line_no, known_users)
+        item_ids = _parse_ids(item_text, len(schema.item_fields), "item", line_no, known_items)
         dense = tuple(float(x) for x in dense_text.split(",")) if dense_text else ()
-        raw_labels = tuple(int(x) for x in label_text.split(",")) if label_text else ()
+        if labels is None:
+            raw_labels = tuple(int(x) for x in label_text.split(",")) if label_text else ()
     except DatasetFormatError:
         raise
     except ValueError as exc:
@@ -242,16 +256,17 @@ def _parse_line(line: str, schema: Schema, line_no: int) -> tuple[str, Sample]:
             f"line {line_no}: expected {schema.dense_count} dense values, got {len(dense)}")
     if not all(math.isfinite(x) for x in dense):
         raise DatasetFormatError(f"line {line_no}: non-finite dense value in {dense_text!r}")
-    if len(raw_labels) != schema.task_count:
-        raise DatasetFormatError(
-            f"line {line_no}: expected {schema.task_count} labels, got {len(raw_labels)}")
-    try:
-        labels = LabelSequence(raw_labels)
-    except LabelOrderError as exc:  # name the line, and the impression of an order fault
-        if not set(raw_labels) <= {0, 1}:
+    if labels is None:
+        if len(raw_labels) != schema.task_count:
             raise DatasetFormatError(
-                f"line {line_no}: labels must be 0 or 1, got {label_text!r}") from None
-        raise LabelOrderError(f"line {line_no}: impression {imp_id!r} has {exc}") from None
+                f"line {line_no}: expected {schema.task_count} labels, got {len(raw_labels)}")
+        try:
+            labels = known_labels[label_text] = LabelSequence(raw_labels)
+        except LabelOrderError as exc:  # name the line, and the impression of an order fault
+            if not set(raw_labels) <= {0, 1}:
+                raise DatasetFormatError(
+                    f"line {line_no}: labels must be 0 or 1, got {label_text!r}") from None
+            raise LabelOrderError(f"line {line_no}: impression {imp_id!r} has {exc}") from None
     return imp_id, Sample(user_ids, item_ids, dense, labels)
 
 
@@ -269,9 +284,12 @@ def load_dataset(path) -> Dataset:
     """Read a dataset file, grouping samples by impression id in file order;
     the lines of one impression must be adjacent.  A fault in the file raises
     :class:`DatasetFormatError`, or :class:`LabelOrderError` for labels out of
-    order, naming the line.
+    order, naming the line.  Samples share one tuple per distinct user-id or
+    item-id text and one ``LabelSequence`` per distinct label text; the tables
+    that share them last for this call.
     """
     groups: dict[str, list[Sample]] = {}
+    known = ({}, {}, {})
     current = None
     with open(path, "rb") as fh:
         lines = _decoded_lines(fh)
@@ -282,7 +300,7 @@ def load_dataset(path) -> Dataset:
         for line_no, line in lines:
             if not line.strip() and "\t" not in line:
                 continue
-            imp_id, sample = _parse_line(line, schema, line_no)
+            imp_id, sample = _parse_line(line, schema, line_no, known)
             if imp_id != current and imp_id in groups:
                 raise DatasetFormatError(
                     f"line {line_no}: impression {imp_id!r} reappears after "
@@ -410,13 +428,24 @@ class SynthConfig:
             raise ValueError(f"noise must be finite and non-negative, got {self.noise}")
 
 
+def _shared_labels(table: dict[tuple[int, ...], LabelSequence],
+                   labels: tuple[int, ...]) -> LabelSequence:
+    """The ``LabelSequence`` of ``labels`` in ``table``, made and stored there on first use."""
+    seq = table.get(labels)
+    if seq is None:
+        seq = table[labels] = LabelSequence(labels)
+    return seq
+
+
 def synthesize(cfg: SynthConfig) -> Dataset:
     """Generate an implicit-feedback dataset from a seeded latent-factor model.
 
     Each impression shows one user a list of distinct items.  Per task t the
     propensity is sigmoid(<u, v_t> + bias_t + noise);  labels are sampled as
     a cascade, so a behavior can fire only when the previous one did and the
-    sequences are monotone by construction.
+    sequences are monotone by construction.  Samples share one ``(id,)``
+    tuple per user and per item and one ``LabelSequence`` per distinct label
+    row.
     """
     schema = Schema(
         user_fields=(FieldSpec("user_id", cfg.users),),
@@ -428,6 +457,9 @@ def synthesize(cfg: SynthConfig) -> Dataset:
     u_vecs = rng.standard_normal((cfg.users, cfg.latent_dim))
     v_vecs = rng.standard_normal((cfg.items, len(cfg.tasks), cfg.latent_dim))
     biases = np.asarray(cfg.biases)
+    user_ids = [(u,) for u in range(cfg.users)]
+    item_ids = [(i,) for i in range(cfg.items)]
+    label_seqs: dict[tuple[int, ...], LabelSequence] = {}
 
     impressions = []
     for k in range(cfg.impressions):
@@ -440,7 +472,7 @@ def synthesize(cfg: SynthConfig) -> Dataset:
         # the cascade: task t fires when its draw does and every earlier task fired
         labels = np.cumprod(rng.random(probs.shape) < probs, axis=1)
         samples = tuple(
-            Sample(user_ids=(user,), item_ids=(item,), dense=(), labels=LabelSequence(tuple(row)))
+            Sample(user_ids[user], item_ids[item], (), _shared_labels(label_seqs, tuple(row)))
             for item, row in zip(items.tolist(), labels.tolist()))
         impressions.append(Impression(f"imp{k:06d}", samples))
     return Dataset(schema=schema, impressions=tuple(impressions))
@@ -510,9 +542,14 @@ def project_tasks(ds: Dataset, tasks: Sequence[str]) -> Dataset:
     if not positions:
         raise ValueError("need at least one task")
 
+    label_seqs: dict[tuple[int, ...], LabelSequence] = {}
+    cuts: dict[tuple[int, ...], LabelSequence] = {}  # each distinct input cut once
+
     def cut(sample: Sample) -> Sample:
-        labels = LabelSequence(tuple(sample.labels.labels[p] for p in positions))
-        return replace(sample, labels=labels)
+        labels = sample.labels.labels
+        if labels not in cuts:
+            cuts[labels] = _shared_labels(label_seqs, tuple(labels[p] for p in positions))
+        return replace(sample, labels=cuts[labels])
 
     schema = replace(ds.schema, tasks=tuple(names))
     impressions = tuple(

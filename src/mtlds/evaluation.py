@@ -75,11 +75,12 @@ def ndcg_at_k(
     """NDCG@k with exponential gain 2^g - 1 and log2(position + 1) discount.
 
     Items are ranked by descending score (stable ties) and the ideal ordering
-    is by descending gain.  Undefined when every gain is zero.
+    is by descending gain.  Undefined when every gain is zero.  The scores
+    and the gains must pass ``sortops.finite_vector``.
     """
     require_int("k", k, 1)
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    g = np.asarray(gains, dtype=np.float64).reshape(-1)
+    s = finite_vector(scores, "ndcg_at_k: scores")
+    g = finite_vector(gains, "ndcg_at_k: gains")
     if s.shape != g.shape:
         raise ValueError(f"{s.size} scores vs {g.size} gains")
     if np.any(g < 0):
@@ -102,7 +103,7 @@ def evaluate_ranking(
     ``final_labels`` hold one entry per sample, one impression after another,
     and ``lengths`` the number of samples of each impression or their
     ``Layout``, which must pass ``sortops.check_lengths`` (a ValueError).
-    The scores must pass ``sortops.finite_vector``.
+    The scores and the gains must pass ``sortops.finite_vector``.
 
     AUC of the final task is computed globally over all samples.  NDCG is per
     impression, skipping impressions whose gains are all zero, and averaged
@@ -113,7 +114,7 @@ def evaluate_ranking(
     """
     require_distinct_ints("cutoffs", cutoffs, 1)
     scores = finite_vector(scores, "evaluate_ranking: scores")
-    gains = np.asarray(gains, dtype=np.float64).reshape(-1)
+    gains = finite_vector(gains, "evaluate_ranking: gains")
     if np.size(lengths.lengths if isinstance(lengths, Layout) else lengths) == 0:
         raise ValueError("no impressions to evaluate")
     if scores.shape != gains.shape:

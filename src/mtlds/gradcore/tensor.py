@@ -13,9 +13,10 @@ each replays, in one node, the elementwise arithmetic of the composition of
 basic ops it replaces, in the same order, so values and gradients keep their
 bits.  The two batch losses stack the lists of one length, take each list's
 sum on its own contiguous slice, add the sums in list order and multiply by
-``1.0 / lists``: the mean over lists.  Their forward rules keep each length
-block's arrays in the node's ``attrs["saved"]``, and their VJPs read them
-there instead of building them again.
+``1.0 / lists``: the mean over lists.  Their forward rules keep the arrays
+their VJPs need in the node's ``attrs["saved"]`` (the batch losses one set
+per length block), and the VJPs read them there instead of building them
+again.
 """
 
 from __future__ import annotations
@@ -308,15 +309,16 @@ def _fwd_softsort_logits(xs, attrs):
     s = xs[0]
     if s.shape[1] != 1:
         raise ShapeMismatchError(f"softsort_logits: expected a column vector, got {s.shape}")
-    return np.abs(s[attrs["order"]] - s.T) * attrs["factor"]
+    attrs["saved"] = s[attrs["order"]] - s.T
+    return np.abs(attrs["saved"]) * attrs["factor"]
 
 
 def _vjp_softsort_logits(g, xs, out, attrs):
-    s, order = xs[0], attrs["order"]
+    order = attrs["order"]
     # subgradient 0 where a sorted score meets itself or a tie
-    g_dist = g * attrs["factor"] * np.sign(s[order] - s.T)
+    g_dist = g * attrs["factor"] * np.sign(attrs["saved"])
     d_sorted = g_dist.sum(axis=1, keepdims=True)
-    ds = np.zeros_like(s)
+    ds = np.zeros_like(xs[0])
     np.add.at(ds, order, d_sorted)
     return [(-g_dist).sum(axis=0).reshape(-1, 1) + ds]
 

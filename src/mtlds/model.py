@@ -127,16 +127,20 @@ def softsort_loss(col: Tensor, target: Sequence[float] | np.ndarray,
                   tau: float = 1.0) -> Tensor:
     """The paper's sort term: ``sort_loss`` of each impression's SoftSort
     matrix against the hard permutation of its ``target`` (``lengths`` rows
-    each, in turn; one impression by default), averaged over impressions, with
-    ``soft_sort`` and ``label_permutation`` once per impression in order.  A
+    each, in turn; one impression by default), averaged over impressions.
+    ``soft_sort`` runs once per impression in order, and ``label_permutation``
+    once per block of equal-length impressions (``layout.blocks``).  A
     non-finite column has no sort order: its loss is NaN, a divergence to ``fit``."""
     yv, layout = column_inputs(col, target, lengths, "softsort_loss")
-    cuts = np.cumsum(layout.lengths)[:-1]
     if not np.all(np.isfinite(col.value)):
         return col.graph.tensor(np.nan)
+    perms = [None] * layout.lengths.size
+    for members, rows in layout.blocks:
+        for i, perm in zip(members, label_permutation(yv[rows])):
+            perms[i] = perm
     p_hats = [soft_sort(fn.gather_rows(col, rows), tau)
-              for rows in np.split(np.arange(col.rows), cuts)]
-    return sort_loss(p_hats, [label_permutation(part) for part in np.split(yv, cuts)], layout)
+              for rows in np.split(np.arange(col.rows), np.cumsum(layout.lengths)[:-1])]
+    return sort_loss(p_hats, perms, layout)
 
 
 # losses of an (n, 1) column against a target vector, averaged over the impressions

@@ -19,8 +19,11 @@ from .gradcore.tensor import Layout, ShapeMismatchError, as_matrix, length_block
 
 def argsort_desc(s: Sequence[float] | np.ndarray) -> np.ndarray:
     """Descending argsort with stable ties (smaller original index wins):
-    the ``np.intp`` array z with z[i] = index ranked i-th."""
-    a = np.asarray(s, dtype=np.float64).reshape(-1)
+    the ``np.intp`` array z with z[i] = index ranked i-th.  A 2-D input is
+    sorted along its last axis, one row at a time; any other is flattened."""
+    a = np.asarray(s, dtype=np.float64)
+    if a.ndim != 2:
+        a = a.reshape(-1)
     if a.size == 0:
         raise ValueError("argsort_desc: empty input")
     if not np.all(np.isfinite(a)):

@@ -138,6 +138,13 @@ class TestLabelPermutation:
         with pytest.raises(ValueError):
             label_permutation([])
 
+    def test_block_stacks_the_rows_results(self):
+        # ties within rows, and a row equal to another, keep the 1-D rule
+        block = np.array([[1, 2, 1, 0, 2], [0, 0, 0, 0, 0], [2, 1, 1, 2, 0], [1, 2, 1, 0, 2]])
+        stacked = label_permutation(block)
+        assert stacked.shape == (4, 5, 5)
+        npt.assert_array_equal(stacked, np.stack([label_permutation(row) for row in block]))
+
 
 class TestLabelSequence:
     def test_valid_sequences(self):

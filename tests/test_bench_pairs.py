@@ -54,6 +54,20 @@ def test_worse_median_is_flagged_against_its_bound():
     assert all(row.endswith("OVER BOUND") for row in table[1:])
 
 
+def test_better_median_past_its_bound_is_a_gain():
+    records = [json.loads(line("parent", 1, 100.0, 70.0)),
+               json.loads(line("change", 1, 130.0, 60.0))]
+    train, rss = bench_pairs.summarize(records, METRICS)
+    assert train["worse_by"] == pytest.approx(-0.3)
+    assert rss["worse_by"] == pytest.approx(-10.0 / 70.0)
+    header, train_row, rss_row = bench_pairs.format_rows([train, rss])
+    assert train_row.endswith("  GAIN") and rss_row.endswith("  GAIN")
+    within = bench_pairs.format_rows(bench_pairs.summarize(
+        [json.loads(line("parent", 1, 100.0, 70.0)), json.loads(line("change", 1, 120.0, 65.0))],
+        METRICS))
+    assert not any("GAIN" in row for row in within)
+
+
 def wide(change_train):
     """Five pairs whose parent train values spread by a third of their median
     (quartiles 100 and 140, median 120), wider than the 0.25 bound."""
@@ -72,6 +86,9 @@ def test_spread_wider_than_the_bound_is_unresolved():
     assert train_row.endswith("  UNRESOLVED") and "OVER BOUND" not in train_row
     assert "33.3%" in train_row
     assert "UNRESOLVED" not in rss_row
+    gained = bench_pairs.summarize(wide([190.0, 60.0, 200.0, 140.0, 180.0]), METRICS)[0]
+    assert gained["unresolved"] and -gained["worse_by"] > gained["bound"]
+    assert bench_pairs.format_rows([gained])[1].endswith("  UNRESOLVED")
 
 
 def test_every_change_run_beating_every_parent_run_is_resolved():

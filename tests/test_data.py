@@ -455,6 +455,51 @@ class TestColumns:
         np.testing.assert_array_equal(projected.columns.ids, whole.ids)
 
 
+class TestSharedValues:
+    """Loading, synthesis and projection share one object per distinct id
+    text, id and label tuple; the records hold no ``__dict__``."""
+
+    def test_load_shares_ids_and_labels(self, tmp_path):
+        ds = load_dataset(write_lines(tmp_path, [
+            HEADER, "imp0\t1\t2\t\t1,0", "imp0\t1\t3\t\t0,0", "imp0\t1\t2\t\t1,0",
+            "imp1\t1\t3\t\t0,0", "imp1\t0\t2\t\t1,1"]))
+        (a, b, c), (d, e) = (imp.samples for imp in ds.impressions)
+        assert a.user_ids is b.user_ids is c.user_ids is d.user_ids
+        assert a.item_ids is c.item_ids is e.item_ids and b.item_ids is d.item_ids
+        assert a.labels is c.labels and b.labels is d.labels
+        assert e.user_ids == (0,) and e.labels.labels == (1, 1)
+
+    def test_synthesize_and_project_tasks_share_ids_and_labels(self):
+        ds = synthesize(SynthConfig(impressions=30, users=3, items=12, list_size=4,
+                                    tasks=("click", "cart", "purchase"),
+                                    biases=(0.5, -0.5, -1.5)))
+        for part in (ds, project_tasks(ds, ("click", "purchase"))):
+            for attr in ("user_ids", "item_ids", "labels"):
+                values = [getattr(s, attr) for s in part.iter_samples()]
+                first = {}  # equal values are one object
+                assert all(first.setdefault(v, v) is v for v in values)
+                assert len(first) < len(values)
+
+    def test_records_hold_no_dict(self):
+        ds = load_dataset(FIXTURES / "golden.tsv")
+        sample = ds.impressions[0].samples[0]
+        for record in (sample, ds.impressions[0], sample.labels):
+            assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("bad,message", [
+        ("imp9\t1\t9x\t\t1,0", "line 42: invalid literal for int"),
+        ("imp9\t1|2\t2\t\t1,0", "line 42: expected 1 user ids, got 2"),
+        ("imp9\t1\t2\t0.5\t1,0", "line 42: expected 0 dense values, got 1"),
+        ("imp9\t1\t2\t\t1", "line 42: expected 2 labels, got 1"),
+        ("imp9\t1\t2\t\t1,2", "line 42: labels must be 0 or 1"),
+        ("imp9\t1\t2\t\t0,1", r"line 42: impression 'imp9' has label 1 set without label 0"),
+    ], ids=["item", "user-count", "dense", "label-count", "label-value", "label-order"])
+    def test_bad_line_after_shared_texts_names_its_line(self, tmp_path, bad, message):
+        good = [f"imp{k}\t1\t2\t\t1,0" for k in range(40)]
+        with pytest.raises((DatasetFormatError, LabelOrderError), match=message):
+            load_dataset(write_lines(tmp_path, [HEADER, *good, bad]))
+
+
 class TestBatching:
     @pytest.fixture()
     def ds(self):

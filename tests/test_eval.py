@@ -103,6 +103,17 @@ class TestNDCG:
         with pytest.raises(UndefinedMetricError):
             ndcg_at_k([0.5, 0.4], [0, 0], k=2)
 
+    @pytest.mark.parametrize("scores,gains,match", [
+        ([np.nan, 0.1, 0.2], [0, 1, 2], "ndcg_at_k: scores must be finite, got nan at position 0"),
+        ([0.3, -np.inf, 0.2], [0, 1, 2],
+         "ndcg_at_k: scores must be finite, got -inf at position 1"),
+        ([0.3, 0.1, 0.2], [0, np.nan, 2], "ndcg_at_k: gains must be finite, got nan at position 1"),
+        ([0.3, 0.1, 0.2], [0, 1, np.inf], "ndcg_at_k: gains must be finite, got inf at position 2"),
+    ], ids=["nan-score", "inf-score", "nan-gain", "inf-gain"])
+    def test_non_finite_input_rejected(self, scores, gains, match):
+        with pytest.raises(ValueError, match=match):
+            ndcg_at_k(scores, gains, 1)
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
         scores = rng.standard_normal(7)
@@ -208,9 +219,13 @@ class TestEvaluateRanking:
          "evaluate_ranking: scores must be finite, got nan at position 0"),
         ([0.5, 0.1, np.inf], [1, 0, 0], [1, 2], (1,),
          "evaluate_ranking: scores must be finite, got inf at position 2"),
+        ([0.2, 0.1, 0.3, 0.4], [np.nan, 1, 0, 1], [2, 2], (1, 2),
+         "evaluate_ranking: gains must be finite, got nan at position 0"),
+        ([0.2, 0.1, 0.3, 0.4], [1, 0, np.inf, 1], [2, 2], (1, 2),
+         "evaluate_ranking: gains must be finite, got inf at position 2"),
     ], ids=["k-zero", "repeated-cutoff", "negative-gain", "negative-gain-in-zero-row",
             "length-mismatch", "list-count-mismatch", "lengths-short", "zero-length", "no-lengths",
-            "other-layout", "empty-layout", "nan-score", "inf-score"])
+            "other-layout", "empty-layout", "nan-score", "inf-score", "nan-gain", "inf-gain"])
     def test_invalid_input_rejected(self, scores, gains, lengths, cutoffs, match):
         finals = np.zeros(len(scores), dtype=int)
         finals[0] = 1

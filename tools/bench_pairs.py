@@ -17,7 +17,9 @@ relative to its median, the median's relative move in the metric's worse
 direction against its bound, and the pairs (same seed) that the change won.
 It flags a move past the bound ``OVER BOUND``, and a metric whose relative
 quartile spread is wider than its bound ``UNRESOLVED`` (neither better nor
-worse can be told) unless every change run beats every parent run.
+worse can be told) unless every change run beats every parent run.  A
+metric that is not unresolved and whose median moved in the better
+direction by more than its bound is flagged ``GAIN``.
 
 Exit status 1 if any run is not ``correct`` or has failed operations, 0
 otherwise.  Uses only the standard library.
@@ -125,7 +127,8 @@ def format_rows(rows: list[dict]) -> list[str]:
              f"{'worse by':>10}{'bound':>7}{'won':>7}"]
     for r in rows:
         flags = ("  OVER BOUND" if r["worse_by"] > r["bound"] else "") + (
-            "  UNRESOLVED" if r["unresolved"] else "")
+            "  UNRESOLVED" if r["unresolved"] else
+            "  GAIN" if -r["worse_by"] > r["bound"] else "")
         lines.append(f"{r['metric']:<26}{r['parent_median']:>14.4g}{r['change_median']:>14.4g}"
                      f"{r['rel_spread']:>12.1%}{r['worse_by']:>10.1%}{r['bound']:>7.2f}"
                      f"{r['won']:>4}/{r['pairs']}{flags}")
